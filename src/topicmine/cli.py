@@ -10,11 +10,16 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from .database import DatabaseError, UtilityDatabase, generate_synthetic, parse_spmf, write_spmf
+from .database import (
+    DatabaseError,
+    InvalidParamsError,
+    UtilityDatabase,
+    generate_synthetic,
+    parse_spmf,
+    write_spmf,
+)
 from .miner import VARIANTS, MineResult, MinerConfig, mine
 from .oracle import TooManyItemsError, enumerate_topk
 
@@ -29,7 +34,11 @@ EXIT_VERIFY_FAILED = 3
 def _load(path: str, lenient: bool) -> tuple[UtilityDatabase, str]:
     with open(path, "rb") as fh:
         data = fh.read()
-    db = parse_spmf(data.decode("utf-8"), strict=not lenient)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatabaseError(f"{path} is not UTF-8 text: {exc}") from None
+    db = parse_spmf(text, strict=not lenient)
     return db, hashlib.sha256(data).hexdigest()
 
 
@@ -51,6 +60,7 @@ def _result_block(db: UtilityDatabase, result: MineResult) -> dict:
             "runtime_ms": result.stats.runtime_ms,
             "peak_entries": result.stats.peak_entries,
         },
+        "min_util_history": result.min_util_history,
     }
 
 
@@ -124,18 +134,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     db, digest = _load(args.input, args.lenient)
-    threads = max(1, int(os.environ.get("TOPIC_THREADS", "1")))
-    jobs = [(k, name) for k in args.k for name in VARIANTS]
-
-    def run(job):
-        k, name = job
-        return job, mine(db, MinerConfig.variant(k, name))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(run, jobs))
-    else:
-        results = dict(map(run, jobs))
+    results = {(k, name): mine(db, MinerConfig.variant(k, name))
+               for k in args.k for name in VARIANTS}
 
     # Candidate-count invariants: merging never changes the candidate set,
     # subtree pruning never enlarges it.
@@ -179,14 +179,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    db = generate_synthetic(
-        n_transactions=args.transactions,
-        n_items=args.items,
-        avg_len=args.avg_len,
-        utility_range=(args.min_utility, args.max_utility),
-        negative_fraction=args.negative_fraction,
-        seed=args.seed,
-    )
+    try:
+        db = generate_synthetic(
+            n_transactions=args.transactions,
+            n_items=args.items,
+            avg_len=args.avg_len,
+            utility_range=(args.min_utility, args.max_utility),
+            negative_fraction=args.negative_fraction,
+            seed=args.seed,
+        )
+    except InvalidParamsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     text = write_spmf(db)
     if args.output == "-":
         sys.stdout.write(text)

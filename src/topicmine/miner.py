@@ -24,6 +24,7 @@ from .ordering import (
     ProjectedDatabase,
     build_root,
     build_total_order,
+    deliver,
     merge_identical,
     project,
     remap_database,
@@ -65,7 +66,7 @@ class MinerConfig:
 @dataclass
 class MineStats:
     candidates: int = 0       # itemsets whose exact utility was computed
-    projections: int = 0
+    projections: int = 0      # non-empty children built
     merges: int = 0           # coalesced view pairs
     runtime_ms: float = 0.0
     peak_entries: int = 0     # max projected views alive at once
@@ -82,11 +83,12 @@ class MineResult:
 class _Search:
     """Per-run mutable search state (single-threaded)."""
 
-    def __init__(self, store: TopKStore, config: MinerConfig, stats: MineStats, item_count: int):
+    def __init__(self, store: TopKStore, config: MinerConfig, stats: MineStats,
+                 rank: list[int], item_count: int):
         self.store = store
         self.config = config
         self.stats = stats
-        self.rank = None
+        self.rank = rank
         self.ua_rlu = UtilityArray(item_count)
         self.ua_rsu = UtilityArray(item_count)
         self.live_views = 0
@@ -108,11 +110,13 @@ class _Search:
         config = self.config
         stats = self.stats
         rank = self.rank
+        buckets = deliver(pdb, set(primary))
         for z in primary:
-            child = project(pdb, z)
-            stats.projections += 1
-            if child.support == 0:
+            occurrences = buckets.pop(z, None)
+            if occurrences is None:
                 continue
+            child = project(pdb, z, occurrences)
+            stats.projections += 1
             stats.candidates += 1
             beta = alpha + (z,)
             store.offer(beta, child.utility)
@@ -120,7 +124,7 @@ class _Search:
                 child = merge_identical(child)
                 stats.merges = stats.merges + child.merged_pairs
             self._track(len(child.views))
-            if eta and child.utility > store.min_util:
+            if eta and child.views and child.utility > store.min_util:
                 self.search_n(beta, child, eta)
             if child.views:
                 rlu, rsu = compute_bounds(child, self.ua_rlu, self.ua_rsu)
@@ -144,11 +148,13 @@ class _Search:
         store = self.store
         config = self.config
         stats = self.stats
+        buckets = deliver(pdb, set(candidates))
         for idx, z in enumerate(candidates):
-            child = project(pdb, z)
-            stats.projections += 1
-            if child.support == 0:
+            occurrences = buckets.pop(z, None)
+            if occurrences is None:
                 continue
+            child = project(pdb, z, occurrences)
+            stats.projections += 1
             stats.candidates += 1
             beta2 = beta + (z,)
             store.offer(beta2, child.utility)
@@ -195,8 +201,7 @@ def mine(db: UtilityDatabase, config: MinerConfig) -> MineResult:
 
     rdb = remap_database(db, order, set(secondary0), negatives_kept)
     root = build_root(rdb, order)
-    search = _Search(store, config, stats, db.item_count)
-    search.rank = order.rank
+    search = _Search(store, config, stats, order.rank, db.item_count)
     if config.enable_merging and root.views:
         root = merge_identical(root)
         stats.merges += root.merged_pairs

@@ -5,10 +5,15 @@ sign class items ascend by RTWU with raw-label ties broken ascending.
 Transactions are sorted backward-lexicographically on item ranks so that
 identical projected suffixes end up adjacent, which lets merging run as a
 single linear pass.
+
+Children of a search node are built from one pass over its views' suffixes
+(occurrence delivery, as in LCM ver. 2): :func:`deliver` buckets every
+view and position holding one of the wanted items, and :func:`project`
+turns one bucket into the child projection. Items that occur in no view get
+no bucket, so no child is built for them.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .database import ItemSummary, Transaction, UtilityDatabase
@@ -66,9 +71,9 @@ def remap_database(
 class Record:
     """Backing storage for projected views: one (possibly merged) transaction.
 
-    ``ranks`` mirrors ``items`` in the total order, ascending, so views can
-    bisect for an item. ``pos_suffix[i]`` is the sum of positive utilities at
-    positions >= i (the remaining-utility lookup).
+    ``ranks`` mirrors ``items`` in the total order, ascending (the merge key
+    and the bounds' sign test). ``pos_suffix[i]`` is the sum of positive
+    utilities at positions >= i (the remaining-utility lookup).
     """
 
     __slots__ = ("items", "ranks", "utilities", "pos_suffix")
@@ -139,22 +144,42 @@ def build_root(db: UtilityDatabase, order: TotalOrder) -> ProjectedDatabase:
     return ProjectedDatabase(views, db, order, 0, support)
 
 
-def project(pdb: ProjectedDatabase, x: int) -> ProjectedDatabase:
+def deliver(pdb: ProjectedDatabase, wanted) -> dict[int, list]:
+    """One pass over every view's suffix: map each item of ``wanted`` that
+    occurs there to its occurrences in view order, as a flat list
+    ``[view, position, view, position, ...]`` (a pair costs two list slots
+    and no tuple). Items that occur nowhere get no entry."""
+    buckets: dict[int, list] = {}
+    for v in pdb.views:
+        items = v.record.items
+        for p in range(v.offset, len(items)):
+            item = items[p]
+            if item in wanted:
+                bucket = buckets.get(item)
+                if bucket is None:
+                    buckets[item] = [v, p]
+                else:
+                    bucket += (v, p)
+    return buckets
+
+
+def project(pdb: ProjectedDatabase, x: int, occurrences=None) -> ProjectedDatabase:
     """Project on item x: keep views containing x, advance offsets past x, and
     fold U(x, view) into each prefix utility.
 
-    Views whose remaining suffix is empty still contribute to the new
-    prefix's utility and support but are dropped from the result.
+    ``occurrences`` is x's bucket from :func:`deliver` on ``pdb``; when
+    omitted, it is delivered here. Views whose remaining suffix is empty
+    still contribute to the new prefix's utility and support but are dropped
+    from the result.
     """
-    rx = pdb.order.rank[x]
+    if occurrences is None:
+        occurrences = deliver(pdb, {x}).get(x, ())
     views = []
     utility = 0
     support = 0
-    for v in pdb.views:
+    pairs = iter(occurrences)
+    for v, pos in zip(pairs, pairs):
         rec = v.record
-        pos = bisect_left(rec.ranks, rx, v.offset)
-        if pos == len(rec.ranks) or rec.ranks[pos] != rx:
-            continue
         u = rec.utilities[pos]
         prefix = v.prefix_utility + u
         utility += prefix

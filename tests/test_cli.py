@@ -3,7 +3,7 @@ import json
 import pytest
 from helpers import EXAMPLE_TEXT
 
-from topicmine.cli import EXIT_DATA_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, main
+from topicmine.cli import EXIT_DATA_ERROR, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 
 
 @pytest.fixture
@@ -26,6 +26,8 @@ class TestMine:
             {"items": [1, 4], "utility": 62},
             {"items": [2, 3, 4], "utility": 58},
         ]
+        history = report["result"]["min_util_history"]
+        assert history == [1, 15, 17, 18, 22, 25, 27, 30, 40, 58]
 
     def test_k_zero_is_usage_error(self, example_file):
         with pytest.raises(SystemExit) as exc:
@@ -36,6 +38,13 @@ class TestMine:
         bad = tmp_path / "bad.spmf"
         bad.write_text("1 2:3\n")
         assert main(["mine", "--input", str(bad), "--k", "5"]) == EXIT_DATA_ERROR
+
+    def test_undecodable_input_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.spmf"
+        bad.write_bytes(b"\xff")
+        assert main(["mine", "--input", str(bad), "--k", "5"]) == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "UTF-8" in err
 
     def test_variant_none_same_itemsets_more_candidates(self, example_file, capsys):
         main(["mine", "--input", example_file, "--k", "5", "--variant", "full"])
@@ -92,10 +101,6 @@ class TestBench:
         lines = capsys.readouterr().out.strip().splitlines()
         assert all(line.split(",")[2] == "0" for line in lines[1:])  # candidates column
 
-    def test_thread_env(self, example_file, capsys, monkeypatch):
-        monkeypatch.setenv("TOPIC_THREADS", "2")
-        assert main(["bench", "--input", example_file, "--k", "5"]) == EXIT_OK
-
 
 class TestGen:
     def test_round_trip(self, tmp_path, capsys):
@@ -122,6 +127,18 @@ class TestGen:
 
         db = parse_spmf(out.read_text())
         assert 10 <= len(db.negative_items) <= 20
+
+    @pytest.mark.parametrize("bad", [
+        ["--negative-fraction", "1.5"],
+        ["--min-utility", "9", "--max-utility", "2"],
+    ])
+    def test_invalid_params_are_usage_error(self, tmp_path, capsys, bad):
+        out = tmp_path / "gen.spmf"
+        args = ["gen", "--transactions", "10", "--items", "5", "--avg-len", "2",
+                "--output", str(out)] + bad
+        assert main(args) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestOracleCommand:

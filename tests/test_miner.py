@@ -114,6 +114,12 @@ class TestAblationStats:
             assert candidates >= previous
             previous = candidates
 
+    def test_every_projection_is_a_candidate(self, example_db):
+        # children are built only for items that occur in the parent's views
+        for db in (example_db, campaign_db(4, 0.3), campaign_db(9, 0.6)):
+            for name, result in mine_all_variants(db, 10).items():
+                assert result.stats.projections == result.stats.candidates, name
+
     def test_merging_variant_counts_merges(self, example_db):
         merged = mine(example_db, MinerConfig.variant(5, "full"))
         unmerged = mine(example_db, MinerConfig.variant(5, "subtree-only"))

@@ -1,9 +1,11 @@
-from helpers import campaign_db
+import pytest
+from helpers import campaign_db, example_database
 
-from topicmine import compute_item_summaries, parse_spmf
+from topicmine import compute_item_summaries, generate_synthetic, parse_spmf
 from topicmine.ordering import (
     build_root,
     build_total_order,
+    deliver,
     merge_identical,
     project,
     remap_database,
@@ -99,6 +101,79 @@ class TestProject:
         for item in range(example_db.item_count):
             child = project(root, item)
             assert len(child.views) <= len(root.views)
+
+
+def scan_project(pdb, z):
+    """Reference projection on z that finds z by a plain scan of each view's
+    suffix: (utility, support, view fields)."""
+    utility = support = 0
+    views = []
+    for v in pdb.views:
+        rec = v.record
+        suffix = rec.items[v.offset:]
+        if z not in suffix:
+            continue
+        pos = v.offset + suffix.index(z)
+        u = rec.utilities[pos]
+        utility += v.prefix_utility + u
+        support += v.weight
+        if pos + 1 < len(rec.items):
+            views.append((rec, pos + 1, v.prefix_utility + u,
+                          v.positive_prefix + max(u, 0), v.weight))
+    return utility, support, views
+
+
+def fields(pdb):
+    views = [(v.record, v.offset, v.prefix_utility, v.positive_prefix, v.weight)
+             for v in pdb.views]
+    return pdb.utility, pdb.support, views
+
+
+def delivered_children(pdb, wanted, merging):
+    """Build every child of ``pdb`` over ``wanted`` from one delivery, check
+    each against ``project(pdb, z)`` and the scan reference, and return the
+    non-empty children by item (merged when ``merging``)."""
+    buckets = deliver(pdb, set(wanted))
+    children = {}
+    for z in wanted:
+        expected = fields(project(pdb, z))
+        assert scan_project(pdb, z) == expected
+        if z not in buckets:
+            assert expected[1] == 0
+            continue
+        child = project(pdb, z, buckets[z])
+        assert fields(child) == expected
+        children[z] = merge_identical(child) if merging else child
+    return children
+
+
+class TestDeliver:
+    @pytest.mark.parametrize("merging", [False, True])
+    @pytest.mark.parametrize("make_db", [
+        example_database,
+        lambda: generate_synthetic(60, 12, 5, (1, 9), 0.4, 3),
+    ], ids=["example", "synthetic"])
+    def test_children_equal_project(self, make_db, merging):
+        db = make_db()
+        order = build_total_order(compute_item_summaries(db))
+        rdb = remap_database(db, order, set(db.positive_items), set(db.negative_items))
+        root = build_root(rdb, order)
+        if merging:
+            root = merge_identical(root)
+        depth2 = []
+        for z, child in delivered_children(root, order.items, merging).items():
+            later = order.items[order.rank[z] + 1:]
+            depth2 += delivered_children(child, later, merging).values()
+        assert depth2
+        if merging:
+            assert any(v.weight > 1 for c in depth2 for v in c.views)
+
+    def test_unwanted_and_absent_items_get_no_bucket(self, example_db, ids):
+        rdb, order = remapped_example(example_db)
+        root = build_root(rdb, order)
+        child = project(root, ids["A"])  # suffixes hold only D
+        assert set(deliver(child, {ids["B"], ids["D"]})) == {ids["D"]}
+        assert deliver(child, {ids["B"]}) == {}
 
 
 class TestMerge:
