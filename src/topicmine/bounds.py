@@ -1,88 +1,28 @@
-"""Linear-time upper bounds (RLU / RSU) via reusable utility arrays, plus the
-descending per-item real-utility list used for threshold raising."""
+"""Linear-time upper bounds (RLU / RSU) and negative-extension caps, plus the
+descending per-item real-utility list used for threshold raising.
+
+Per-node bound maps are plain dicts filled by one pass over the node's view
+suffixes, so each scan stays linear in the suffix length."""
 from __future__ import annotations
 
 from .database import UtilityDatabase
 from .ordering import ProjectedDatabase
 
 
-class UtilityArray:
-    """Length-|I| signed accumulator with touched-list reset.
+def compute_bounds(pdb: ProjectedDatabase) -> tuple[dict[int, int], dict[int, int]]:
+    """One scan returning (rlu, rsu) for the items present in the projection.
 
-    Reset clears only slots written since the last reset, so repeated scans
-    cost O(items touched) instead of O(|I|).
-    """
+    RLU(z), for positive z only: sum over views containing z of prefix
+    utility + remaining positive utility. Negative items never receive an
+    RLU (they are never extensible).
 
-    __slots__ = ("values", "touched", "_dirty")
-
-    def __init__(self, size: int):
-        self.values = [0] * size
-        self.touched: list[int] = []
-        self._dirty = [False] * size
-
-    def add(self, item: int, amount: int) -> None:
-        if not self._dirty[item]:
-            self._dirty[item] = True
-            self.touched.append(item)
-        self.values[item] += amount
-
-    def to_map(self) -> dict[int, int]:
-        return {i: self.values[i] for i in self.touched}
-
-    def reset(self) -> None:
-        for i in self.touched:
-            self.values[i] = 0
-            self._dirty[i] = False
-        self.touched.clear()
-
-
-def compute_rlu(pdb: ProjectedDatabase, ua: UtilityArray | None = None) -> dict[int, int]:
-    """RLU of every positive item z present in the projection:
-    sum over views containing z of prefix utility + remaining positive utility.
-
-    Negative items never receive an RLU (they are never extensible)."""
-    if ua is None:
-        ua = UtilityArray(len(pdb.order.rank))
+    RSU(z), for every z: sum over views containing z of prefix utility +
+    U(z, view) + positive utilities after z. Under the negatives-last order
+    the trailing sum is empty for negative z, so their RSU collapses to the
+    exact utility of the one-item extension."""
     cutoff = pdb.order.positive_cutoff
-    for v in pdb.views:
-        rec = v.record
-        base = v.prefix_utility + rec.pos_suffix[v.offset]
-        for p in range(v.offset, len(rec.ranks)):
-            if rec.ranks[p] < cutoff:
-                ua.add(rec.items[p], base)
-    result = ua.to_map()
-    ua.reset()
-    return result
-
-
-def compute_rsu(pdb: ProjectedDatabase, ua: UtilityArray | None = None) -> dict[int, int]:
-    """RSU of every item z present in the projection: sum over views
-    containing z of prefix utility + U(z, view) + positive utilities after z.
-
-    Under the negatives-last order the trailing sum is empty for negative z,
-    so their RSU collapses to the exact utility of the one-item extension."""
-    if ua is None:
-        ua = UtilityArray(len(pdb.order.rank))
-    cutoff = pdb.order.positive_cutoff
-    for v in pdb.views:
-        rec = v.record
-        prefix = v.prefix_utility
-        tail = 0
-        for p in range(len(rec.ranks) - 1, v.offset - 1, -1):
-            u = rec.utilities[p]
-            ua.add(rec.items[p], prefix + u + tail)
-            if rec.ranks[p] < cutoff:
-                tail += u
-    result = ua.to_map()
-    ua.reset()
-    return result
-
-
-def compute_bounds(
-    pdb: ProjectedDatabase, ua_rlu: UtilityArray, ua_rsu: UtilityArray
-) -> tuple[dict[int, int], dict[int, int]]:
-    """One scan filling both arrays; returns (rlu map, rsu map)."""
-    cutoff = pdb.order.positive_cutoff
+    rlu: dict[int, int] = {}
+    rsu: dict[int, int] = {}
     for v in pdb.views:
         rec = v.record
         prefix = v.prefix_utility
@@ -94,20 +34,19 @@ def compute_bounds(
         for p in range(len(ranks) - 1, v.offset - 1, -1):
             u = utils[p]
             it = items[p]
-            ua_rsu.add(it, prefix + u + tail)
+            rsu[it] = rsu.get(it, 0) + prefix + u + tail
             if ranks[p] < cutoff:
                 tail += u
-                ua_rlu.add(it, base)
-    rlu = ua_rlu.to_map()
-    rsu = ua_rsu.to_map()
-    ua_rlu.reset()
-    ua_rsu.reset()
+                rlu[it] = rlu.get(it, 0) + base
     return rlu, rsu
 
 
-def compute_negative_caps(
-    pdb: ProjectedDatabase, ua: UtilityArray | None = None
-) -> dict[int, int]:
+def compute_rsu(pdb: ProjectedDatabase) -> dict[int, int]:
+    """The RSU map of :func:`compute_bounds` (the root needs no RLU)."""
+    return compute_bounds(pdb)[1]
+
+
+def compute_negative_caps(pdb: ProjectedDatabase) -> dict[int, int]:
     """Subtree cap for negative extensions: for each item z present in the
     projection, the sum over views containing z of the positive part of the
     prefix utility.
@@ -116,16 +55,14 @@ def compute_negative_caps(
     only adds negative ones over a subset of these views, so its utility can
     never exceed this sum. Unlike a clamped per-view bound, the cap is a plain
     sum of per-view quantities, so it is unchanged by transaction merging."""
-    if ua is None:
-        ua = UtilityArray(len(pdb.order.rank))
+    caps: dict[int, int] = {}
     for v in pdb.views:
-        rec = v.record
+        items = v.record.items
         base = v.positive_prefix
-        for p in range(v.offset, len(rec.ranks)):
-            ua.add(rec.items[p], base)
-    result = ua.to_map()
-    ua.reset()
-    return result
+        for p in range(v.offset, len(items)):
+            it = items[p]
+            caps[it] = caps.get(it, 0) + base
+    return caps
 
 
 def compute_riu(db: UtilityDatabase) -> list[int]:

@@ -224,7 +224,10 @@ def _positive_int(value: str) -> int:
 
 
 def _k_list(value: str) -> list[int]:
-    return [_positive_int(tok) for tok in value.split(",") if tok]
+    ks = [_positive_int(tok) for tok in value.split(",") if tok]
+    if not ks:
+        raise argparse.ArgumentTypeError(f"expected at least one k, got {value!r}")
+    return ks
 
 
 def build_parser() -> argparse.ArgumentParser:

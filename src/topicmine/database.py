@@ -73,9 +73,6 @@ class UtilityDatabase:
     def item_count(self) -> int:
         return len(self.labels)
 
-    def label_of(self, item: int) -> int:
-        return self.labels[item]
-
 
 @dataclass
 class ItemSummary:

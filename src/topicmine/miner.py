@@ -12,13 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .bounds import (
-    UtilityArray,
-    compute_bounds,
-    compute_negative_caps,
-    compute_riu,
-    compute_rsu,
-)
+from .bounds import compute_bounds, compute_negative_caps, compute_riu, compute_rsu
 from .database import UtilityDatabase, compute_item_summaries
 from .ordering import (
     ProjectedDatabase,
@@ -84,13 +78,11 @@ class _Search:
     """Per-run mutable search state (single-threaded)."""
 
     def __init__(self, store: TopKStore, config: MinerConfig, stats: MineStats,
-                 rank: list[int], item_count: int):
+                 rank: list[int]):
         self.store = store
         self.config = config
         self.stats = stats
         self.rank = rank
-        self.ua_rlu = UtilityArray(item_count)
-        self.ua_rsu = UtilityArray(item_count)
         self.live_views = 0
 
     def _track(self, delta: int) -> None:
@@ -127,7 +119,7 @@ class _Search:
             if eta and child.views and child.utility > store.min_util:
                 self.search_n(beta, child, eta)
             if child.views:
-                rlu, rsu = compute_bounds(child, self.ua_rlu, self.ua_rsu)
+                rlu, rsu = compute_bounds(child)
                 mu = store.min_util
                 rz = rank[z]
                 sec_b = [w for w in secondary if rank[w] > rz and rlu.get(w, 0) >= mu]
@@ -165,7 +157,7 @@ class _Search:
                 child = merge_identical(child)
                 stats.merges = stats.merges + child.merged_pairs
             self._track(len(child.views))
-            caps = compute_negative_caps(child, self.ua_rsu)
+            caps = compute_negative_caps(child)
             if config.enable_subtree_pruning:
                 mu = store.min_util
                 nxt = [w for w in rest if caps.get(w, 0) >= mu]
@@ -201,13 +193,13 @@ def mine(db: UtilityDatabase, config: MinerConfig) -> MineResult:
 
     rdb = remap_database(db, order, set(secondary0), negatives_kept)
     root = build_root(rdb, order)
-    search = _Search(store, config, stats, order.rank, db.item_count)
+    search = _Search(store, config, stats, order.rank)
     if config.enable_merging and root.views:
         root = merge_identical(root)
         stats.merges += root.merged_pairs
     search._track(len(root.views))
 
-    rsu0 = compute_rsu(root, search.ua_rsu)
+    rsu0 = compute_rsu(root)
     if config.enable_subtree_pruning:
         primary0 = [z for z in secondary0 if rsu0.get(z, 0) >= store.min_util]
     else:

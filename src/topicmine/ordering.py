@@ -25,9 +25,6 @@ class TotalOrder:
     items: list[int]         # rank -> item id
     positive_cutoff: int     # first rank held by a negative item
 
-    def is_positive_rank(self, r: int) -> bool:
-        return r < self.positive_cutoff
-
 
 def build_total_order(summaries: list[ItemSummary]) -> TotalOrder:
     """Rank items: positives by ascending RTWU, then negatives by ascending
@@ -120,11 +117,10 @@ class ProjectedDatabase:
     :func:`merge_identical`.
     """
 
-    __slots__ = ("views", "parent", "order", "utility", "support", "merged_pairs")
+    __slots__ = ("views", "order", "utility", "support", "merged_pairs")
 
-    def __init__(self, views, parent, order, utility=0, support=0, merged_pairs=0):
+    def __init__(self, views, order, utility=0, support=0, merged_pairs=0):
         self.views = views
-        self.parent = parent
         self.order = order
         self.utility = utility
         self.support = support
@@ -141,7 +137,7 @@ def build_root(db: UtilityDatabase, order: TotalOrder) -> ProjectedDatabase:
         rec = Record(t.items, [rank[i] for i in t.items], t.utilities, cutoff)
         views.append(ProjectedTransaction(rec, 0, 0, 0, 1))
         support += 1
-    return ProjectedDatabase(views, db, order, 0, support)
+    return ProjectedDatabase(views, order, 0, support)
 
 
 def deliver(pdb: ProjectedDatabase, wanted) -> dict[int, list]:
@@ -187,7 +183,7 @@ def project(pdb: ProjectedDatabase, x: int, occurrences=None) -> ProjectedDataba
         if pos + 1 < len(rec.ranks):
             pos_prefix = v.positive_prefix + (u if u > 0 else 0)
             views.append(ProjectedTransaction(rec, pos + 1, prefix, pos_prefix, v.weight))
-    return ProjectedDatabase(views, pdb.parent, pdb.order, utility, support)
+    return ProjectedDatabase(views, pdb.order, utility, support)
 
 
 def merge_identical(pdb: ProjectedDatabase) -> ProjectedDatabase:
@@ -231,4 +227,4 @@ def merge_identical(pdb: ProjectedDatabase) -> ProjectedDatabase:
             out.append(ProjectedTransaction(merged, 0, prefix, pos_prefix, weight))
             merged_pairs += j - i - 1
         i = j
-    return ProjectedDatabase(out, pdb.parent, order, pdb.utility, pdb.support, merged_pairs)
+    return ProjectedDatabase(out, order, pdb.utility, pdb.support, merged_pairs)

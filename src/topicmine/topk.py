@@ -37,7 +37,6 @@ class TopKStore:
         self.k = k
         self._rank = rank
         self._heap: list[_Entry] = []
-        self._offered: set[frozenset[int]] = set()
         self.min_util = FLOOR
         self.history: list[int] = [FLOOR]
 
@@ -61,12 +60,8 @@ class TopKStore:
     def offer(self, itemset: tuple[int, ...], utility: int) -> int:
         """Consider one candidate; returns the possibly-raised threshold.
 
-        The same itemset must never be offered twice (the search guarantees
-        single evaluation; this is asserted here).
-        """
-        fs = frozenset(itemset)
-        assert fs not in self._offered, f"duplicate candidate {itemset}"
-        self._offered.add(fs)
+        The search evaluates every itemset once, so an itemset is never
+        offered twice."""
         if utility < self.min_util:
             return self.min_util
         entry = _Entry(utility, self._key(itemset), itemset)

@@ -5,7 +5,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from helpers import EXAMPLE_TEXT, example_database  # noqa: E402
+import topicmine.miner  # noqa: E402
+from helpers import EXAMPLE_TEXT, CheckingTopKStore, example_database  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def checking_store(monkeypatch):
+    """Every ``mine`` in the suite fails on a candidate offered twice."""
+    monkeypatch.setattr(topicmine.miner, "TopKStore", CheckingTopKStore)
 
 
 @pytest.fixture

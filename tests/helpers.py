@@ -9,9 +9,10 @@ from topicmine import (
     mine,
     parse_spmf,
 )
-from topicmine.bounds import compute_negative_caps, compute_rlu, compute_rsu
+from topicmine.bounds import compute_bounds, compute_negative_caps
 from topicmine.ordering import build_root, build_total_order, merge_identical, project, remap_database
 from topicmine.oracle import all_supported_utilities, utility_of
+from topicmine.topk import TopKStore
 
 VARIANT_NAMES = ("full", "merge-only", "subtree-only", "none")
 
@@ -27,6 +28,24 @@ EXAMPLE_TEXT = """\
 
 def example_database() -> UtilityDatabase:
     return parse_spmf(EXAMPLE_TEXT)
+
+
+class CheckingTopKStore(TopKStore):
+    """A top-k store that fails when the same itemset is offered twice.
+
+    The search must evaluate every itemset exactly once. The check raises
+    explicitly, so it still runs under ``python -O``."""
+
+    def __init__(self, k, rank=None):
+        super().__init__(k, rank)
+        self.offered: set[frozenset[int]] = set()
+
+    def offer(self, itemset, utility):
+        key = frozenset(itemset)
+        if key in self.offered:
+            raise AssertionError(f"duplicate candidate {itemset}")
+        self.offered.add(key)
+        return super().offer(itemset, utility)
 
 
 def as_pair_set(pairs):
@@ -80,8 +99,7 @@ def check_bound_soundness(db: UtilityDatabase) -> int:
         nonlocal violations
         last = rank[prefix[-1]] if prefix else -1
         all_positive = not prefix or rank[prefix[-1]] < cutoff
-        rlu = compute_rlu(pdb)
-        rsu = compute_rsu(pdb)
+        rlu, rsu = compute_bounds(pdb)
         caps = compute_negative_caps(pdb)
         best = util.get(frozenset(prefix), NONE) if prefix else NONE
         child_max: dict[int, float] = {}

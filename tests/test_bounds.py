@@ -1,7 +1,7 @@
 from helpers import campaign_db, check_bound_soundness
 
 from topicmine import compute_item_summaries, parse_spmf
-from topicmine.bounds import UtilityArray, compute_riu, compute_rlu, compute_rsu
+from topicmine.bounds import compute_bounds, compute_riu
 from topicmine.ordering import build_root, build_total_order, project, remap_database
 
 
@@ -11,49 +11,32 @@ def rooted(db):
     return build_root(rdb, order), order
 
 
-class TestUtilityArray:
-    def test_reset_clears_all_slots(self):
-        ua = UtilityArray(16)
-        ua.add(3, 7)
-        ua.add(9, -2)
-        ua.add(3, -7)  # touched slot summing back to zero
-        ua.reset()
-        assert all(v == 0 for v in ua.values)
-        assert ua.touched == []
-
-    def test_map_reflects_touched(self):
-        ua = UtilityArray(4)
-        ua.add(1, 5)
-        ua.add(1, 5)
-        assert ua.to_map() == {1: 10}
-
-
 class TestRlu:
     def test_root_rlu_is_rtwu_for_positives(self, example_db, ids):
         root, _ = rooted(example_db)
-        rlu = compute_rlu(root)
+        rlu, _ = compute_bounds(root)
         assert rlu == {ids["E"]: 62, ids["A"]: 87, ids["D"]: 144}
 
     def test_empty_projection(self, example_db, ids):
         root, _ = rooted(example_db)
         empty = project(project(root, ids["E"]), ids["D"])
-        assert compute_rlu(project(empty, ids["D"])) == {}
+        assert compute_bounds(project(empty, ids["D"])) == ({}, {})
 
     def test_after_projecting_a(self, example_db, ids):
         root, _ = rooted(example_db)
-        rlu = compute_rlu(project(root, ids["A"]))
+        rlu, _ = compute_bounds(project(root, ids["A"]))
         assert rlu[ids["D"]] == 62  # (5+12) + (15+30)
 
 
 class TestRsu:
     def test_after_projecting_a(self, example_db, ids):
         root, _ = rooted(example_db)
-        rsu = compute_rsu(project(root, ids["A"]))
+        _, rsu = compute_bounds(project(root, ids["A"]))
         assert rsu[ids["D"]] == 62
 
     def test_negative_item_rsu_is_exact(self, example_db, ids):
         root, _ = rooted(example_db)
-        rsu = compute_rsu(project(root, ids["D"]))
+        _, rsu = compute_bounds(project(root, ids["D"]))
         # no positive item follows B, so RSU collapses to U({B, D})
         assert rsu[ids["B"]] == 66
         assert rsu[ids["C"]] == 64
@@ -62,8 +45,7 @@ class TestRsu:
         root, order = rooted(example_db)
         for item in range(example_db.item_count):
             child = project(root, item)
-            rlu = compute_rlu(child)
-            rsu = compute_rsu(child)
+            rlu, rsu = compute_bounds(child)
             for z, bound in rlu.items():
                 assert bound >= rsu[z]
 

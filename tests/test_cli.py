@@ -63,6 +63,12 @@ class TestVerify:
     def test_random_seeds_pass(self, capsys):
         assert main(["verify", "--seeds", "10", "--k", "1,5"]) == EXIT_OK
 
+    def test_empty_k_list_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seeds", "1", "--k", ","])
+        assert exc.value.code == EXIT_USAGE
+        assert "at least one k" in capsys.readouterr().err
+
     def test_detects_corrupted_results(self, example_file, capsys, monkeypatch):
         # harness self-test: a miner that drops the best itemset must be flagged
         import topicmine.cli as cli
@@ -93,6 +99,12 @@ class TestBench:
         by_variant = {r["variant"]: r for r in report["rows"]}
         assert by_variant["full"]["candidates"] == by_variant["subtree-only"]["candidates"]
         assert by_variant["merge-only"]["candidates"] == by_variant["none"]["candidates"]
+
+    def test_empty_k_list_is_usage_error(self, example_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--input", example_file, "--k", ","])
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     def test_empty_db(self, tmp_path, capsys):
         empty = tmp_path / "empty.spmf"

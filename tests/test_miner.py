@@ -6,6 +6,9 @@ from helpers import (
     mine_all_variants,
 )
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from topicmine import InvalidKError, MinerConfig, enumerate_topk, mine, parse_spmf
 
 
@@ -95,6 +98,52 @@ class TestOracleEquivalence:
         results = mine_all_variants(db, 8)
         sets = [as_pair_set(r.top_k) for r in results.values()]
         assert all(s == sets[0] for s in sets)
+
+
+EDGE_SHAPES = ("all-negative", "k-above-itemsets", "ties-at-k", "one-transaction")
+
+
+@st.composite
+def edge_database(draw, shape):
+    """A small database of one edge shape, as SPMF text parsed by the program.
+
+    ``all-negative``: every item negative, which ``generate_synthetic`` never
+    makes. ``ties-at-k``: magnitudes 1..3, so many itemsets share a utility.
+    ``one-transaction``: a single transaction of up to 12 items."""
+    one = shape == "one-transaction"
+    n_items = draw(st.integers(1, 12 if one else 7))
+    if shape == "all-negative":
+        signs = [-1] * n_items
+    else:
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n_items, max_size=n_items))
+    high = 3 if shape == "ties-at-k" else 9
+    lines = []
+    for _ in range(1 if one else draw(st.integers(1, 8))):
+        if one:
+            items = list(range(1, n_items + 1))
+        else:
+            items = sorted(draw(st.sets(st.integers(1, n_items), min_size=1)))
+        utils = [signs[i - 1] * draw(st.integers(1, high)) for i in items]
+        lines.append(f"{' '.join(map(str, items))}:{sum(utils)}:{' '.join(map(str, utils))}")
+    return parse_spmf("\n".join(lines))
+
+
+@pytest.mark.parametrize("shape", EDGE_SHAPES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_edge_shapes_match_oracle_exactly(shape, data):
+    db = data.draw(edge_database(shape))
+    ranked = enumerate_topk(db, 2 ** db.item_count).top_k  # every itemset with utility >= 1
+    if shape == "k-above-itemsets":
+        k = len(ranked) + data.draw(st.integers(1, 3))
+    elif shape == "ties-at-k":
+        ties = [k for k in range(1, len(ranked)) if ranked[k - 1][1] == ranked[k][1]]
+        k = data.draw(st.sampled_from(ties) if ties else st.integers(1, 5))
+    else:
+        k = data.draw(st.integers(1, 40))
+    expected = enumerate_topk(db, k).top_k
+    for name, result in mine_all_variants(db, k).items():
+        assert result.top_k == expected, name
 
 
 class TestAblationStats:

@@ -1,5 +1,8 @@
 import pytest
+from helpers import CheckingTopKStore
 
+import topicmine.miner
+from topicmine import MinerConfig, mine
 from topicmine.topk import TopKStore
 
 
@@ -58,10 +61,24 @@ class TestOffer:
         assert store.results() == [((2,), 10)]
 
     def test_duplicate_itemset_asserts(self):
-        store = TopKStore(3)
+        store = CheckingTopKStore(3)
         store.offer((1, 2), 5)
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError, match="duplicate candidate"):
             store.offer((2, 1), 5)
+
+    def test_mine_offers_through_the_checking_store(self, example_db, monkeypatch):
+        stores = []
+
+        class Recording(CheckingTopKStore):
+            def __init__(self, k, rank=None):
+                super().__init__(k, rank)
+                stores.append(self)
+
+        assert topicmine.miner.TopKStore is CheckingTopKStore
+        monkeypatch.setattr(topicmine.miner, "TopKStore", Recording)
+        result = mine(example_db, MinerConfig(5))
+        assert len(stores) == 1
+        assert len(stores[0].offered) == result.stats.candidates
 
     def test_threshold_never_decreases(self):
         store = TopKStore(2)
