@@ -20,22 +20,20 @@ def compute_bounds(pdb: ProjectedDatabase) -> tuple[dict[int, int], dict[int, in
     U(z, view) + positive utilities after z. Under the negatives-last order
     the trailing sum is empty for negative z, so their RSU collapses to the
     exact utility of the one-item extension."""
-    cutoff = pdb.order.positive_cutoff
     rlu: dict[int, int] = {}
     rsu: dict[int, int] = {}
     for v in pdb.views:
         rec = v.record
         prefix = v.prefix_utility
-        ranks = rec.ranks
         utils = rec.utilities
         items = rec.items
         base = prefix + rec.pos_suffix[v.offset]
         tail = 0
-        for p in range(len(ranks) - 1, v.offset - 1, -1):
+        for p in range(len(items) - 1, v.offset - 1, -1):
             u = utils[p]
             it = items[p]
             rsu[it] = rsu.get(it, 0) + prefix + u + tail
-            if ranks[p] < cutoff:
+            if u > 0:
                 tail += u
                 rlu[it] = rlu.get(it, 0) + base
     return rlu, rsu

@@ -42,8 +42,9 @@ class InvalidParamsError(DatabaseError):
 class Transaction:
     """One transaction: parallel item/utility lists plus the cached total.
 
-    ``items`` holds dense item ids sorted by the database's current item
-    order; ``tu`` is always the exact sum of ``utilities``.
+    ``items`` holds dense item ids in ascending order (processing ranks once
+    rewritten by ``ordering.remap_database``); ``tu`` is always the exact sum
+    of ``utilities``.
     """
 
     tid: int

@@ -1,10 +1,11 @@
 """Top-k high-utility itemset miner with positive/negative dual search.
 
-The driver raises the threshold from single-item utilities, prunes and
-reorders the database, then runs a depth-first search that extends prefixes
-with positive items (recomputing RLU/RSU filters at every node) and branches
-into a negative-items-only search whenever a prefix strictly beats the
-current threshold. Merging and subtree pruning can be toggled independently
+:func:`mine` raises the threshold from single-item utilities, prunes the
+database and renames its items to their processing ranks, then runs a
+depth-first search over ranks that extends prefixes with positive items
+(recomputing RLU/RSU filters at every node) and branches into a
+negative-items-only search whenever a prefix strictly beats the current
+threshold. Merging and subtree pruning can be toggled independently
 to reproduce the four ablation variants.
 """
 from __future__ import annotations
@@ -49,13 +50,6 @@ class MinerConfig:
         merging, subtree = VARIANTS[name]
         return cls(k, enable_merging=merging, enable_subtree_pruning=subtree)
 
-    @property
-    def variant_name(self) -> str:
-        for name, flags in VARIANTS.items():
-            if flags == (self.enable_merging, self.enable_subtree_pruning):
-                return name
-        raise AssertionError
-
 
 @dataclass
 class MineStats:
@@ -75,20 +69,23 @@ class MineResult:
 
 
 class _Search:
-    """Per-run mutable search state (single-threaded)."""
+    """Per-run mutable search state (single-threaded). Items are ranks."""
 
-    def __init__(self, store: TopKStore, config: MinerConfig, stats: MineStats,
-                 rank: list[int]):
+    def __init__(self, store: TopKStore, config: MinerConfig, stats: MineStats):
         self.store = store
         self.config = config
         self.stats = stats
-        self.rank = rank
         self.live_views = 0
 
     def _track(self, delta: int) -> None:
         self.live_views += delta
         if self.live_views > self.stats.peak_entries:
             self.stats.peak_entries = self.live_views
+
+    def _merge(self, pdb: ProjectedDatabase) -> ProjectedDatabase:
+        merged = merge_identical(pdb)
+        self.stats.merges += len(pdb.views) - len(merged.views)
+        return merged
 
     def search_p(
         self,
@@ -101,7 +98,6 @@ class _Search:
         store = self.store
         config = self.config
         stats = self.stats
-        rank = self.rank
         buckets = deliver(pdb, set(primary))
         for z in primary:
             occurrences = buckets.pop(z, None)
@@ -113,16 +109,14 @@ class _Search:
             beta = alpha + (z,)
             store.offer(beta, child.utility)
             if config.enable_merging and child.views:
-                child = merge_identical(child)
-                stats.merges = stats.merges + child.merged_pairs
+                child = self._merge(child)
             self._track(len(child.views))
             if eta and child.views and child.utility > store.min_util:
                 self.search_n(beta, child, eta)
             if child.views:
                 rlu, rsu = compute_bounds(child)
                 mu = store.min_util
-                rz = rank[z]
-                sec_b = [w for w in secondary if rank[w] > rz and rlu.get(w, 0) >= mu]
+                sec_b = [w for w in secondary if w > z and rlu.get(w, 0) >= mu]
                 if config.enable_subtree_pruning:
                     prim_b = [w for w in sec_b if rsu.get(w, 0) >= mu]
                 else:
@@ -154,8 +148,7 @@ class _Search:
             if not rest or not child.views:
                 continue
             if config.enable_merging:
-                child = merge_identical(child)
-                stats.merges = stats.merges + child.merged_pairs
+                child = self._merge(child)
             self._track(len(child.views))
             caps = compute_negative_caps(child)
             if config.enable_subtree_pruning:
@@ -180,23 +173,20 @@ def mine(db: UtilityDatabase, config: MinerConfig) -> MineResult:
 
     summaries = compute_item_summaries(db)
     order = build_total_order(summaries)
-    store = TopKStore(config.k, rank=order.rank)
+    store = TopKStore(config.k)
     store.raise_with_riu(compute_riu(db))
 
-    # At the root, RLU collapses to RTWU for positive items.
+    # At the root, RLU collapses to RTWU for positive items. From here on
+    # items are ranks; results are translated back through ``order.items``.
     mu = store.min_util
-    secondary0 = sorted(
-        (s.item for s in summaries if s.positive and s.rtwu >= mu),
-        key=lambda i: order.rank[i],
-    )
-    negatives_kept = {s.item for s in summaries if not s.positive and s.rtwu >= mu}
+    kept = [r for r, i in enumerate(order.items) if summaries[i].rtwu >= mu]
+    secondary0 = [r for r in kept if r < order.positive_cutoff]
+    eta = [r for r in kept if r >= order.positive_cutoff]
 
-    rdb = remap_database(db, order, set(secondary0), negatives_kept)
-    root = build_root(rdb, order)
-    search = _Search(store, config, stats, order.rank)
+    root = build_root(remap_database(db, order, {order.items[r] for r in kept}))
+    search = _Search(store, config, stats)
     if config.enable_merging and root.views:
-        root = merge_identical(root)
-        stats.merges += root.merged_pairs
+        root = search._merge(root)
     search._track(len(root.views))
 
     rsu0 = compute_rsu(root)
@@ -204,10 +194,11 @@ def mine(db: UtilityDatabase, config: MinerConfig) -> MineResult:
         primary0 = [z for z in secondary0 if rsu0.get(z, 0) >= store.min_util]
     else:
         primary0 = secondary0
-    eta = sorted(negatives_kept, key=lambda i: order.rank[i])
 
     if primary0:
         search.search_p((), root, primary0, secondary0, eta)
 
+    top_k = [(tuple(sorted(order.items[r] for r in itemset)), utility)
+             for itemset, utility in store.results()]
     stats.runtime_ms = (time.perf_counter() - t0) * 1000
-    return MineResult(store.results(), store.min_util, stats, store.history)
+    return MineResult(top_k, store.min_util, stats, store.history)

@@ -2,9 +2,12 @@
 
 The processing order puts positive items before negative ones; within each
 sign class items ascend by RTWU with raw-label ties broken ascending.
-Transactions are sorted backward-lexicographically on item ranks so that
-identical projected suffixes end up adjacent, which lets merging run as a
-single linear pass.
+:func:`remap_database` renames every item to its rank in that order, so all
+records and views below it hold ranks, and an item precedes another exactly
+when its id is smaller. Every item has one fixed sign and no utility is
+zero, so an occurrence's sign is read from its utility. Transactions are
+sorted backward-lexicographically so that identical projected suffixes end
+up adjacent, which lets merging run as a single linear pass.
 
 Children of a search node are built from one pass over its views' suffixes
 (occurrence delivery, as in LCM ver. 2): :func:`deliver` buckets every
@@ -38,51 +41,40 @@ def build_total_order(summaries: list[ItemSummary]) -> TotalOrder:
     return TotalOrder(rank, ordered, len(positives))
 
 
-def remap_database(
-    db: UtilityDatabase,
-    order: TotalOrder,
-    secondary: set[int],
-    negatives_kept: set[int],
-) -> UtilityDatabase:
-    """Rewrite the database for mining: drop items outside
-    ``secondary | negatives_kept``, drop emptied transactions, sort items by
-    rank within each transaction, and sort transactions backward-lexicographically
-    on ranks (shorter suffix first)."""
-    keep = secondary | negatives_kept
+def remap_database(db: UtilityDatabase, order: TotalOrder, keep: set[int]) -> list[Transaction]:
+    """Rewrite the database for mining: drop items (dense ids) outside
+    ``keep``, drop emptied transactions, rename items to their ranks in
+    ascending order, and sort transactions backward-lexicographically
+    (shorter suffix first)."""
     rank = order.rank
     out = []
     for t in db.transactions:
-        pairs = [(rank[i], i, u) for i, u in zip(t.items, t.utilities) if i in keep]
+        pairs = sorted((rank[i], u) for i, u in zip(t.items, t.utilities) if i in keep)
         if not pairs:
             continue
-        pairs.sort()
-        items = [p[1] for p in pairs]
-        utils = [p[2] for p in pairs]
-        out.append((tuple(p[0] for p in reversed(pairs)), Transaction(t.tid, items, utils, sum(utils))))
-    out.sort(key=lambda pair: pair[0])
-    return UtilityDatabase(
-        [t for _, t in out], db.labels, db.positive_items, db.negative_items
-    )
+        items = [p[0] for p in pairs]
+        utils = [p[1] for p in pairs]
+        out.append(Transaction(t.tid, items, utils, sum(utils)))
+    out.sort(key=lambda t: t.items[::-1])
+    return out
 
 
 class Record:
     """Backing storage for projected views: one (possibly merged) transaction.
 
-    ``ranks`` mirrors ``items`` in the total order, ascending (the merge key
-    and the bounds' sign test). ``pos_suffix[i]`` is the sum of positive
+    ``items`` are ranks, ascending. ``pos_suffix[i]`` is the sum of positive
     utilities at positions >= i (the remaining-utility lookup).
     """
 
-    __slots__ = ("items", "ranks", "utilities", "pos_suffix")
+    __slots__ = ("items", "utilities", "pos_suffix")
 
-    def __init__(self, items, ranks, utilities, positive_cutoff):
+    def __init__(self, items, utilities):
         self.items = items
-        self.ranks = ranks
         self.utilities = utilities
         suffix = [0] * (len(items) + 1)
         for i in range(len(items) - 1, -1, -1):
             u = utilities[i]
-            suffix[i] = suffix[i + 1] + (u if ranks[i] < positive_cutoff else 0)
+            suffix[i] = suffix[i + 1] + (u if u > 0 else 0)
         self.pos_suffix = suffix
 
 
@@ -104,40 +96,28 @@ class ProjectedTransaction:
         self.positive_prefix = positive_prefix
         self.weight = weight
 
-    def suffix_ranks(self):
-        return self.record.ranks[self.offset:]
-
 
 class ProjectedDatabase:
     """A prefix itemset's view set over the remapped parent database.
 
     ``utility`` is the exact utility of the prefix itemset this projection
     represents (0 for the root); ``support`` counts supporting source
-    transactions (merge weights included). ``merged_pairs`` is filled by
-    :func:`merge_identical`.
+    transactions (merge weights included).
     """
 
-    __slots__ = ("views", "order", "utility", "support", "merged_pairs")
+    __slots__ = ("views", "utility", "support")
 
-    def __init__(self, views, order, utility=0, support=0, merged_pairs=0):
+    def __init__(self, views, utility=0, support=0):
         self.views = views
-        self.order = order
         self.utility = utility
         self.support = support
-        self.merged_pairs = merged_pairs
 
 
-def build_root(db: UtilityDatabase, order: TotalOrder) -> ProjectedDatabase:
-    """Wrap a remapped database as the empty-prefix projection."""
-    cutoff = order.positive_cutoff
-    rank = order.rank
-    views = []
-    support = 0
-    for t in db.transactions:
-        rec = Record(t.items, [rank[i] for i in t.items], t.utilities, cutoff)
-        views.append(ProjectedTransaction(rec, 0, 0, 0, 1))
-        support += 1
-    return ProjectedDatabase(views, order, 0, support)
+def build_root(transactions: list[Transaction]) -> ProjectedDatabase:
+    """Wrap remapped transactions as the empty-prefix projection."""
+    views = [ProjectedTransaction(Record(t.items, t.utilities), 0, 0, 0, 1)
+             for t in transactions]
+    return ProjectedDatabase(views, 0, len(views))
 
 
 def deliver(pdb: ProjectedDatabase, wanted) -> dict[int, list]:
@@ -180,10 +160,10 @@ def project(pdb: ProjectedDatabase, x: int, occurrences=None) -> ProjectedDataba
         prefix = v.prefix_utility + u
         utility += prefix
         support += v.weight
-        if pos + 1 < len(rec.ranks):
+        if pos + 1 < len(rec.items):
             pos_prefix = v.positive_prefix + (u if u > 0 else 0)
             views.append(ProjectedTransaction(rec, pos + 1, prefix, pos_prefix, v.weight))
-    return ProjectedDatabase(views, pdb.order, utility, support)
+    return ProjectedDatabase(views, utility, support)
 
 
 def merge_identical(pdb: ProjectedDatabase) -> ProjectedDatabase:
@@ -191,29 +171,26 @@ def merge_identical(pdb: ProjectedDatabase) -> ProjectedDatabase:
 
     Requires the parent database to be backward-lexicographically sorted so
     identical suffixes are adjacent. Per-item utilities, prefix utilities and
-    weights are summed; each group of n views counts n-1 merged pairs.
+    weights are summed; the summed utilities of one item share its sign.
     """
-    order = pdb.order
     out = []
-    merged_pairs = pdb.merged_pairs
     i = 0
     views = pdb.views
     n = len(views)
     while i < n:
         v = views[i]
-        key = v.suffix_ranks()
+        key = v.record.items[v.offset:]
         j = i + 1
-        while j < n and views[j].suffix_ranks() == key:
+        while j < n and views[j].record.items[views[j].offset:] == key:
             j += 1
         if j == i + 1:
             out.append(v)
         else:
-            group = views[i:j]
             utils = [0] * len(key)
             prefix = 0
             pos_prefix = 0
             weight = 0
-            for g in group:
+            for g in views[i:j]:
                 rec = g.record
                 off = g.offset
                 for p in range(len(key)):
@@ -221,10 +198,6 @@ def merge_identical(pdb: ProjectedDatabase) -> ProjectedDatabase:
                 prefix += g.prefix_utility
                 pos_prefix += g.positive_prefix
                 weight += g.weight
-            rec0 = v.record
-            items = rec0.items[v.offset:]
-            merged = Record(items, list(key), utils, order.positive_cutoff)
-            out.append(ProjectedTransaction(merged, 0, prefix, pos_prefix, weight))
-            merged_pairs += j - i - 1
+            out.append(ProjectedTransaction(Record(key, utils), 0, prefix, pos_prefix, weight))
         i = j
-    return ProjectedDatabase(out, order, pdb.utility, pdb.support, merged_pairs)
+    return ProjectedDatabase(out, pdb.utility, pdb.support)

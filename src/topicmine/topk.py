@@ -2,25 +2,23 @@
 from __future__ import annotations
 
 import heapq
-from collections.abc import Sequence
 
 
 class _Entry:
     """Heap element ordered worst-first: lower utility is worse; on equal
-    utility the rank-lexicographically greater itemset is worse (and is the
-    one evicted at the boundary)."""
+    utility the lexicographically greater sorted itemset is worse (and is
+    the one evicted at the boundary)."""
 
-    __slots__ = ("utility", "key", "itemset")
+    __slots__ = ("utility", "itemset")
 
-    def __init__(self, utility: int, key: tuple[int, ...], itemset: tuple[int, ...]):
+    def __init__(self, utility: int, itemset: tuple[int, ...]):
         self.utility = utility
-        self.key = key
         self.itemset = itemset
 
     def __lt__(self, other: "_Entry") -> bool:
         if self.utility != other.utility:
             return self.utility < other.utility
-        return self.key > other.key
+        return self.itemset > other.itemset
 
 
 FLOOR = 1
@@ -31,19 +29,13 @@ class TopKStore:
     floor of 1 and only ever rises. ``history`` records every threshold value
     for monotonicity checks."""
 
-    def __init__(self, k: int, rank: Sequence[int] | None = None):
+    def __init__(self, k: int):
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
-        self._rank = rank
         self._heap: list[_Entry] = []
         self.min_util = FLOOR
         self.history: list[int] = [FLOOR]
-
-    def _key(self, itemset: tuple[int, ...]) -> tuple[int, ...]:
-        if self._rank is None:
-            return tuple(sorted(itemset))
-        return tuple(sorted(self._rank[i] for i in itemset))
 
     def _raise_to(self, value: int) -> None:
         if value > self.min_util:
@@ -64,7 +56,7 @@ class TopKStore:
         offered twice."""
         if utility < self.min_util:
             return self.min_util
-        entry = _Entry(utility, self._key(itemset), itemset)
+        entry = _Entry(utility, tuple(sorted(itemset)))
         if len(self._heap) < self.k:
             heapq.heappush(self._heap, entry)
             if len(self._heap) == self.k:
@@ -78,7 +70,7 @@ class TopKStore:
         return len(self._heap)
 
     def results(self) -> list[tuple[tuple[int, ...], int]]:
-        """Entries sorted by utility descending, ties by rank-lexicographic
-        ascending itemset; itemsets are emitted id-sorted."""
-        ordered = sorted(self._heap, key=lambda e: (-e.utility, e.key))
-        return [(tuple(sorted(e.itemset)), e.utility) for e in ordered]
+        """Entries sorted by utility descending, ties by ascending sorted
+        itemset; itemsets are emitted sorted."""
+        ordered = sorted(self._heap, key=lambda e: (-e.utility, e.itemset))
+        return [(e.itemset, e.utility) for e in ordered]

@@ -36,8 +36,8 @@ class CheckingTopKStore(TopKStore):
     The search must evaluate every itemset exactly once. The check raises
     explicitly, so it still runs under ``python -O``."""
 
-    def __init__(self, k, rank=None):
-        super().__init__(k, rank)
+    def __init__(self, k):
+        super().__init__(k)
         self.offered: set[frozenset[int]] = set()
 
     def offer(self, itemset, utility):
@@ -72,40 +72,40 @@ def check_bound_soundness(db: UtilityDatabase) -> int:
     """Exhaustively verify RLU/RSU against the true maxima they must dominate.
 
     Walks the full rank-ordered enumeration tree with the real projection
-    machinery. At each all-positive prefix, RLU(prefix, z) must dominate every
-    supported extension containing z, and RSU(prefix, z) the whole supported
-    subtree under prefix+z. For negative z (at any prefix) RSU must equal the
-    exact utility of prefix+z, and the positive-prefix cap that gates deeper
-    negative recursion must dominate the prefix+z subtree. Returns the number
-    of violations.
+    machinery; prefixes and extensions are ranks. At each all-positive
+    prefix, RLU(prefix, z) must dominate every supported extension containing
+    z, and RSU(prefix, z) the whole supported subtree under prefix+z. For
+    negative z (at any prefix) RSU must equal the exact utility of prefix+z,
+    and the positive-prefix cap that gates deeper negative recursion must
+    dominate the prefix+z subtree. Returns the number of violations.
     """
     if not db.transactions:
         return 0
     summaries = compute_item_summaries(db)
     order = build_total_order(summaries)
-    rdb = remap_database(db, order, set(db.positive_items), set(db.negative_items))
-    root = build_root(rdb, order)
+    root = build_root(remap_database(db, order, db.positive_items | db.negative_items))
     util = all_supported_utilities(db)
-    rank = order.rank
     by_rank = order.items
     m = db.item_count
     cutoff = order.positive_cutoff
     NONE = float("-inf")
     violations = 0
 
+    def as_ids(ranks):
+        return frozenset(by_rank[r] for r in ranks)
+
     def dfs(prefix: tuple[int, ...], pdb):
         """Returns (subtree max utility, {z: max utility over subtree itemsets
         containing z}) over supported itemsets only."""
         nonlocal violations
-        last = rank[prefix[-1]] if prefix else -1
-        all_positive = not prefix or rank[prefix[-1]] < cutoff
+        last = prefix[-1] if prefix else -1
+        all_positive = not prefix or prefix[-1] < cutoff
         rlu, rsu = compute_bounds(pdb)
         caps = compute_negative_caps(pdb)
-        best = util.get(frozenset(prefix), NONE) if prefix else NONE
+        best = util.get(as_ids(prefix), NONE) if prefix else NONE
         child_max: dict[int, float] = {}
         child_containing: dict[int, dict[int, float]] = {}
-        for r in range(last + 1, m):
-            z = by_rank[r]
+        for z in range(last + 1, m):
             child = project(pdb, z)
             if child.support == 0:
                 child_max[z] = NONE
@@ -117,21 +117,19 @@ def check_bound_soundness(db: UtilityDatabase) -> int:
             if cm > best:
                 best = cm
         containing: dict[int, float] = {}
-        for r in range(last + 1, m):
-            z = by_rank[r]
+        for z in range(last + 1, m):
             top = child_max[z]
-            for r2 in range(last + 1, r):
-                w = by_rank[r2]
+            for w in range(last + 1, z):
                 top = max(top, child_containing[w].get(z, NONE))
             containing[z] = top
-            z_positive = r < cutoff
+            z_positive = z < cutoff
             if z_positive and all_positive:
                 if rlu.get(z, 0) < top:
                     violations += 1
                 if rsu.get(z, 0) < child_max[z]:
                     violations += 1
             elif not z_positive:
-                exact = util.get(frozenset(prefix + (z,)))
+                exact = util.get(as_ids(prefix + (z,)))
                 if exact is not None:
                     if rsu.get(z) != exact:
                         violations += 1
@@ -147,13 +145,14 @@ def reconstruct_merged(db: UtilityDatabase) -> UtilityDatabase:
     """Database equivalent of the fully merged top-level projection."""
     summaries = compute_item_summaries(db)
     order = build_total_order(summaries)
-    rdb = remap_database(db, order, set(db.positive_items), set(db.negative_items))
-    merged = merge_identical(build_root(rdb, order))
+    everything = db.positive_items | db.negative_items
+    merged = merge_identical(build_root(remap_database(db, order, everything)))
     lines = []
     for view in merged.views:
         rec = view.record
         labelled = sorted(
-            (db.labels[i], u) for i, u in zip(rec.items[view.offset:], rec.utilities[view.offset:])
+            (db.labels[order.items[r]], u)
+            for r, u in zip(rec.items[view.offset:], rec.utilities[view.offset:])
         )
         items = " ".join(str(lab) for lab, _ in labelled)
         utils = " ".join(str(u) for _, u in labelled)

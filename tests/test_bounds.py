@@ -5,44 +5,46 @@ from topicmine.bounds import compute_bounds, compute_riu
 from topicmine.ordering import build_root, build_total_order, project, remap_database
 
 
-def rooted(db):
+def rooted(db, ids=None):
+    """The root projection of ``db`` and, when given the fixture's dense ids,
+    the same names mapped to the ranks the projection holds."""
     order = build_total_order(compute_item_summaries(db))
-    rdb = remap_database(db, order, set(db.positive_items), set(db.negative_items))
-    return build_root(rdb, order), order
+    root = build_root(remap_database(db, order, db.positive_items | db.negative_items))
+    return root, {name: order.rank[i] for name, i in (ids or {}).items()}
 
 
 class TestRlu:
     def test_root_rlu_is_rtwu_for_positives(self, example_db, ids):
-        root, _ = rooted(example_db)
+        root, r = rooted(example_db, ids)
         rlu, _ = compute_bounds(root)
-        assert rlu == {ids["E"]: 62, ids["A"]: 87, ids["D"]: 144}
+        assert rlu == {r["E"]: 62, r["A"]: 87, r["D"]: 144}
 
     def test_empty_projection(self, example_db, ids):
-        root, _ = rooted(example_db)
-        empty = project(project(root, ids["E"]), ids["D"])
-        assert compute_bounds(project(empty, ids["D"])) == ({}, {})
+        root, r = rooted(example_db, ids)
+        empty = project(project(root, r["E"]), r["D"])
+        assert compute_bounds(project(empty, r["D"])) == ({}, {})
 
     def test_after_projecting_a(self, example_db, ids):
-        root, _ = rooted(example_db)
-        rlu, _ = compute_bounds(project(root, ids["A"]))
-        assert rlu[ids["D"]] == 62  # (5+12) + (15+30)
+        root, r = rooted(example_db, ids)
+        rlu, _ = compute_bounds(project(root, r["A"]))
+        assert rlu[r["D"]] == 62  # (5+12) + (15+30)
 
 
 class TestRsu:
     def test_after_projecting_a(self, example_db, ids):
-        root, _ = rooted(example_db)
-        _, rsu = compute_bounds(project(root, ids["A"]))
-        assert rsu[ids["D"]] == 62
+        root, r = rooted(example_db, ids)
+        _, rsu = compute_bounds(project(root, r["A"]))
+        assert rsu[r["D"]] == 62
 
     def test_negative_item_rsu_is_exact(self, example_db, ids):
-        root, _ = rooted(example_db)
-        _, rsu = compute_bounds(project(root, ids["D"]))
+        root, r = rooted(example_db, ids)
+        _, rsu = compute_bounds(project(root, r["D"]))
         # no positive item follows B, so RSU collapses to U({B, D})
-        assert rsu[ids["B"]] == 66
-        assert rsu[ids["C"]] == 64
+        assert rsu[r["B"]] == 66
+        assert rsu[r["C"]] == 64
 
     def test_rlu_dominates_rsu_for_positives(self, example_db):
-        root, order = rooted(example_db)
+        root, _ = rooted(example_db)
         for item in range(example_db.item_count):
             child = project(root, item)
             rlu, rsu = compute_bounds(child)

@@ -69,20 +69,29 @@ class TestVerify:
         assert exc.value.code == EXIT_USAGE
         assert "at least one k" in capsys.readouterr().err
 
-    def test_detects_corrupted_results(self, example_file, capsys, monkeypatch):
-        # harness self-test: a miner that drops the best itemset must be flagged
+    def test_detects_corrupted_results(self, example_file, tmp_path, capsys, monkeypatch):
+        # harness self-test: a miner that drops the best itemset, or returns
+        # the right itemsets with a wrong tie order, must be flagged
         import topicmine.cli as cli
 
         real_mine = cli.mine
 
-        def corrupted(db, config):
+        def dropped(db, config):
             result = real_mine(db, config)
             result.top_k = result.top_k[1:]
             return result
 
-        monkeypatch.setattr(cli, "mine", corrupted)
-        assert main(["verify", "--input", example_file, "--k", "5"]) == EXIT_VERIFY_FAILED
-        assert "FAIL" in capsys.readouterr().out
+        def reversed_ties(db, config):
+            result = real_mine(db, config)
+            result.top_k = result.top_k[::-1]
+            return result
+
+        ties = tmp_path / "ties.spmf"
+        ties.write_text("1:3:3\n2:3:3\n3:3:3\n")  # three itemsets of utility 3
+        for corrupted, path in ((dropped, example_file), (reversed_ties, str(ties))):
+            monkeypatch.setattr(cli, "mine", corrupted)
+            assert main(["verify", "--input", path, "--k", "5"]) == EXIT_VERIFY_FAILED
+            assert "FAIL" in capsys.readouterr().out
 
 
 class TestBench:

@@ -3,6 +3,7 @@ from helpers import (
     VARIANT_NAMES,
     as_pair_set,
     campaign_db,
+    example_database,
     mine_all_variants,
 )
 
@@ -18,7 +19,6 @@ class TestConfig:
         assert MinerConfig.variant(3, "merge-only") == MinerConfig(3, True, False)
         assert MinerConfig.variant(3, "subtree-only") == MinerConfig(3, False, True)
         assert MinerConfig.variant(3, "none") == MinerConfig(3, False, False)
-        assert MinerConfig(3, True, False).variant_name == "merge-only"
 
     def test_invalid_k(self, example_db):
         with pytest.raises(InvalidKError):
@@ -174,6 +174,47 @@ class TestAblationStats:
         unmerged = mine(example_db, MinerConfig.variant(5, "subtree-only"))
         assert merged.stats.merges > 0
         assert unmerged.stats.merges == 0
+
+
+# Pinned work counters and threshold path of every variant, on the worked
+# example (k=5) and on a seeded database with negative items whose merging
+# variants coalesce views (k=10). A change to the search's bookkeeping must
+# not move them. Per variant: (candidates, projections, merges, peak_entries,
+# final_min_util).
+GOLDEN_DATABASES = {
+    "example": (example_database, 5),
+    "campaign-5": (lambda: campaign_db(5, 0.3), 10),
+}
+COUNTER_GOLDEN = {
+    "example": {
+        "full": (13, 13, 2, 9, 58),
+        "merge-only": (13, 13, 2, 9, 58),
+        "subtree-only": (13, 13, 0, 10, 58),
+        "none": (13, 13, 0, 10, 58),
+    },
+    "campaign-5": {
+        "full": (50, 50, 13, 27, 54),
+        "merge-only": (54, 54, 13, 27, 54),
+        "subtree-only": (50, 50, 0, 42, 54),
+        "none": (54, 54, 0, 42, 54),
+    },
+}
+HISTORY_GOLDEN = {  # the same for every variant
+    "example": [1, 15, 17, 18, 22, 25, 27, 30, 40, 58],
+    "campaign-5": [1, 7, 13, 14, 27, 28, 32, 35, 39, 42, 44, 46, 50, 52, 53, 54],
+}
+
+
+@pytest.mark.parametrize("db_name", sorted(GOLDEN_DATABASES))
+def test_counters_match_golden(db_name):
+    make_db, k = GOLDEN_DATABASES[db_name]
+    db = make_db()
+    assert db.negative_items
+    for name, result in mine_all_variants(db, k).items():
+        st = result.stats
+        got = (st.candidates, st.projections, st.merges, st.peak_entries, result.final_min_util)
+        assert got == COUNTER_GOLDEN[db_name][name], name
+        assert result.min_util_history == HISTORY_GOLDEN[db_name], name
 
 
 class TestThresholdMonotonicity:

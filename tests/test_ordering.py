@@ -19,9 +19,15 @@ def canonical(example_db):
 
 def remapped_example(example_db):
     order = canonical(example_db)
-    secondary = set(example_db.positive_items)
-    negatives = set(example_db.negative_items)
-    return remap_database(example_db, order, secondary, negatives), order
+    everything = example_db.positive_items | example_db.negative_items
+    return remap_database(example_db, order, everything), order
+
+
+def example_root(example_db, ids):
+    """The worked example's root projection, and the fixture's dense ids
+    mapped to the ranks the projection holds."""
+    rdb, order = remapped_example(example_db)
+    return build_root(rdb), {name: order.rank[i] for name, i in ids.items()}
 
 
 class TestTotalOrder:
@@ -46,36 +52,37 @@ class TestTotalOrder:
 class TestRemap:
     def test_running_example_survives_whole(self, example_db):
         rdb, order = remapped_example(example_db)
-        assert len(rdb.transactions) == 6
-        for t in rdb.transactions:
-            ranks = [order.rank[i] for i in t.items]
+        assert len(rdb) == 6
+        source = {t.tid: t.items for t in example_db.transactions}
+        for t in rdb:
+            ranks = t.items
             assert ranks == sorted(ranks)
+            assert sorted(order.items[r] for r in ranks) == source[t.tid]
 
     def test_empty_keep_sets(self, example_db):
         order = canonical(example_db)
-        rdb = remap_database(example_db, order, set(), set())
-        assert rdb.transactions == []
+        rdb = remap_database(example_db, order, set())
+        assert rdb == []
 
     def test_back_to_front_transaction_order(self):
         # {a,b} sorts below {a,b,c} which sorts below {a,b,e}
         db = parse_spmf("1 2 3:3:1 1 1\n1 2 5:4:1 1 2\n1 2:2:1 1")
         order = build_total_order(compute_item_summaries(db))
-        rdb = remap_database(db, order, set(db.positive_items), set())
-        lengths_and_labels = [sorted(db.labels[i] for i in t.items) for t in rdb.transactions]
+        rdb = remap_database(db, order, set(db.positive_items))
+        lengths_and_labels = [sorted(db.labels[order.items[r]] for r in t.items) for t in rdb]
         assert lengths_and_labels == [[1, 2], [1, 2, 3], [1, 2, 5]]
 
     def test_dropped_items_recompute_tu(self, example_db, ids):
         order = canonical(example_db)
-        rdb = remap_database(example_db, order, {ids["D"]}, set())
-        assert all(t.items == [ids["D"]] for t in rdb.transactions)
-        assert sorted(t.tu for t in rdb.transactions) == [12, 30, 36, 36]
+        rdb = remap_database(example_db, order, {ids["D"]})
+        assert all(t.items == [order.rank[ids["D"]]] for t in rdb)
+        assert sorted(t.tu for t in rdb) == [12, 30, 36, 36]
 
 
 class TestProject:
     def test_project_on_a(self, example_db, ids):
-        rdb, order = remapped_example(example_db)
-        root = build_root(rdb, order)
-        child = project(root, ids["A"])
+        root, r = example_root(example_db, ids)
+        child = project(root, r["A"])
         # T1, T3, T4 contain A with prefix utilities 5/15/5; T4's suffix is
         # empty (E precedes A), so it is accounted then dropped.
         assert child.utility == 25
@@ -86,18 +93,17 @@ class TestProject:
              for p in range(v.offset, len(v.record.items))]
             for v in child.views
         ]
-        assert suffixes == [[(ids["D"], 30)], [(ids["D"], 12)]]
+        assert suffixes == [[(r["D"], 30)], [(r["D"], 12)]]
 
     def test_absent_item(self, example_db, ids):
-        rdb, order = remapped_example(example_db)
-        root = build_root(rdb, order)
-        child = project(project(root, ids["E"]), ids["B"])
-        grandchild = project(child, ids["B"])
+        root, r = example_root(example_db, ids)
+        child = project(project(root, r["E"]), r["B"])
+        grandchild = project(child, r["B"])
         assert grandchild.views == [] and grandchild.support == 0
 
     def test_projection_never_grows(self, example_db):
-        rdb, order = remapped_example(example_db)
-        root = build_root(rdb, order)
+        rdb, _ = remapped_example(example_db)
+        root = build_root(rdb)
         for item in range(example_db.item_count):
             child = project(root, item)
             assert len(child.views) <= len(root.views)
@@ -156,37 +162,35 @@ class TestDeliver:
     def test_children_equal_project(self, make_db, merging):
         db = make_db()
         order = build_total_order(compute_item_summaries(db))
-        rdb = remap_database(db, order, set(db.positive_items), set(db.negative_items))
-        root = build_root(rdb, order)
+        root = build_root(remap_database(db, order, db.positive_items | db.negative_items))
         if merging:
             root = merge_identical(root)
+        ranks = range(len(order.items))
         depth2 = []
-        for z, child in delivered_children(root, order.items, merging).items():
-            later = order.items[order.rank[z] + 1:]
-            depth2 += delivered_children(child, later, merging).values()
+        for z, child in delivered_children(root, ranks, merging).items():
+            depth2 += delivered_children(child, ranks[z + 1:], merging).values()
         assert depth2
         if merging:
             assert any(v.weight > 1 for c in depth2 for v in c.views)
 
     def test_unwanted_and_absent_items_get_no_bucket(self, example_db, ids):
-        rdb, order = remapped_example(example_db)
-        root = build_root(rdb, order)
-        child = project(root, ids["A"])  # suffixes hold only D
-        assert set(deliver(child, {ids["B"], ids["D"]})) == {ids["D"]}
-        assert deliver(child, {ids["B"]}) == {}
+        root, r = example_root(example_db, ids)
+        child = project(root, r["A"])  # suffixes hold only D
+        assert set(deliver(child, {r["B"], r["D"]})) == {r["D"]}
+        assert deliver(child, {r["B"]}) == {}
 
 
 class TestMerge:
     def test_identical_full_transactions(self, example_db, ids):
-        rdb, order = remapped_example(example_db)
-        merged = merge_identical(build_root(rdb, order))
-        assert merged.merged_pairs == 1
+        root, r = example_root(example_db, ids)
+        merged = merge_identical(root)
+        assert len(root.views) - len(merged.views) == 1
         assert len(merged.views) == 5
         coalesced = [v for v in merged.views if v.weight == 2]
         assert len(coalesced) == 1
         rec = coalesced[0].record
         assert dict(zip(rec.items, rec.utilities)) == {
-            ids["B"]: -6, ids["C"]: -8, ids["D"]: 72,
+            r["B"]: -6, r["C"]: -8, r["D"]: 72,
         }
 
     def test_no_identical_suffixes_is_identity(self, ids):
@@ -194,16 +198,15 @@ class TestMerge:
         # projecting on a fresh random db: merging never increases view count
         from topicmine import compute_item_summaries
         order = build_total_order(compute_item_summaries(db))
-        rdb = remap_database(db, order, set(db.positive_items), set(db.negative_items))
-        root = build_root(rdb, order)
+        root = build_root(remap_database(db, order, db.positive_items | db.negative_items))
         merged = merge_identical(root)
         assert len(merged.views) <= len(root.views)
-        assert merged.merged_pairs == len(root.views) - len(merged.views)
+        # weights are kept, so the views that vanished are the merged pairs
+        assert sum(v.weight for v in merged.views) == len(root.views)
 
     def test_merged_prefix_utilities_sum(self, example_db, ids):
-        rdb, order = remapped_example(example_db)
-        root = build_root(rdb, order)
-        child = merge_identical(project(root, ids["D"]))
+        root, r = example_root(example_db, ids)
+        child = merge_identical(project(root, r["D"]))
         # T2 and T5 project to the identical {B, C} suffix
         assert [v.prefix_utility for v in child.views] == [72]
         assert child.views[0].weight == 2

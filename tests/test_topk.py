@@ -70,8 +70,8 @@ class TestOffer:
         stores = []
 
         class Recording(CheckingTopKStore):
-            def __init__(self, k, rank=None):
-                super().__init__(k, rank)
+            def __init__(self, k):
+                super().__init__(k)
                 stores.append(self)
 
         assert topicmine.miner.TopKStore is CheckingTopKStore
@@ -90,12 +90,13 @@ class TestOffer:
 
 class TestResults:
     def test_ordering_utility_then_rank(self):
-        rank = [2, 0, 1]  # item 1 first, then 2, then 0
-        store = TopKStore(3, rank=rank)
-        store.offer((0,), 7)
+        # the miner offers rank itemsets, so ties fall to the sorted ranks
+        store = TopKStore(4)
         store.offer((1,), 7)
-        store.offer((2,), 9)
-        assert store.results() == [((2,), 9), ((1,), 7), ((0,), 7)]
+        store.offer((3, 0), 7)
+        store.offer((4,), 9)
+        store.offer((2, 0), 7)
+        assert store.results() == [((4,), 9), ((0, 2), 7), ((0, 3), 7), ((1,), 7)]
 
     def test_empty(self):
         assert TopKStore(4).results() == []
