@@ -5,7 +5,7 @@ Per-node bound maps are plain dicts filled by one pass over the node's view
 suffixes, so each scan stays linear in the suffix length."""
 from __future__ import annotations
 
-from .database import UtilityDatabase
+from .database import ItemSummary
 from .ordering import ProjectedDatabase
 
 
@@ -63,11 +63,6 @@ def compute_negative_caps(pdb: ProjectedDatabase) -> dict[int, int]:
     return caps
 
 
-def compute_riu(db: UtilityDatabase) -> list[int]:
+def compute_riu(summaries: list[ItemSummary]) -> list[int]:
     """Per-item real utilities, sorted descending."""
-    totals = [0] * db.item_count
-    for t in db.transactions:
-        for i, u in zip(t.items, t.utilities):
-            totals[i] += u
-    totals.sort(reverse=True)
-    return totals
+    return sorted((s.utility for s in summaries), reverse=True)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -46,20 +47,20 @@ def _labelled(db: UtilityDatabase, itemset: tuple[int, ...]) -> list[int]:
     return sorted(db.labels[i] for i in itemset)
 
 
+def _dataset_block(path: str, digest: str, db: UtilityDatabase) -> dict:
+    return {"path": path, "sha256": digest,
+            "transactions": len(db.transactions), "items": db.item_count}
+
+
+def _top_k_block(db: UtilityDatabase, top_k: list[tuple[tuple[int, ...], int]]) -> list[dict]:
+    return [{"items": _labelled(db, itemset), "utility": utility} for itemset, utility in top_k]
+
+
 def _result_block(db: UtilityDatabase, result: MineResult) -> dict:
     return {
-        "top_k": [
-            {"items": _labelled(db, itemset), "utility": utility}
-            for itemset, utility in result.top_k
-        ],
+        "top_k": _top_k_block(db, result.top_k),
         "final_min_util": result.final_min_util,
-        "stats": {
-            "candidates": result.stats.candidates,
-            "projections": result.stats.projections,
-            "merges": result.stats.merges,
-            "runtime_ms": result.stats.runtime_ms,
-            "peak_entries": result.stats.peak_entries,
-        },
+        "stats": dataclasses.asdict(result.stats),
         "min_util_history": result.min_util_history,
     }
 
@@ -71,8 +72,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     if args.format == "json":
         report = {
             "schema_version": SCHEMA_VERSION,
-            "dataset": {"path": args.input, "sha256": digest,
-                        "transactions": len(db.transactions), "items": db.item_count},
+            "dataset": _dataset_block(args.input, digest, db),
             "config": {"k": args.k, "variant": args.variant},
             "result": _result_block(db, result),
         }
@@ -143,22 +143,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     rows = []
     for (k, name), result in results.items():
-        rows.append({
-            "k": k,
-            "variant": name,
-            "candidates": result.stats.candidates,
-            "projections": result.stats.projections,
-            "merges": result.stats.merges,
-            "runtime_ms": round(result.stats.runtime_ms, 3),
-            "peak_entries": result.stats.peak_entries,
-            "final_min_util": result.final_min_util,
-        })
+        stats = dataclasses.asdict(result.stats)
+        stats["runtime_ms"] = round(stats["runtime_ms"], 3)
+        rows.append({"k": k, "variant": name, **stats,
+                     "final_min_util": result.final_min_util})
     rows.sort(key=lambda r: (r["k"], r["variant"]))
     if args.format == "json":
         report = {
             "schema_version": SCHEMA_VERSION,
-            "dataset": {"path": args.input, "sha256": digest,
-                        "transactions": len(db.transactions), "items": db.item_count},
+            "dataset": _dataset_block(args.input, digest, db),
             "rows": rows,
         }
         print(json.dumps(report, indent=2))
@@ -198,12 +191,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     result = enumerate_topk(db, args.k)
     report = {
         "schema_version": SCHEMA_VERSION,
-        "dataset": {"path": args.input, "sha256": digest,
-                    "transactions": len(db.transactions), "items": db.item_count},
-        "top_k": [
-            {"items": _labelled(db, itemset), "utility": utility}
-            for itemset, utility in result.top_k
-        ],
+        "dataset": _dataset_block(args.input, digest, db),
+        "top_k": _top_k_block(db, result.top_k),
     }
     print(json.dumps(report, indent=2))
     return EXIT_OK

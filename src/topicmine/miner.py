@@ -5,13 +5,16 @@ database and renames its items to their processing ranks, then runs a
 depth-first search over ranks that extends prefixes with positive items
 (recomputing RLU/RSU filters at every node) and branches into a
 negative-items-only search whenever a prefix strictly beats the current
-threshold. Merging and subtree pruning can be toggled independently
-to reproduce the four ablation variants.
+threshold. The root, the positive and the negative nodes share one
+lifecycle: build, count and offer each candidate child from one delivery
+of the node's occurrences, merge the child's identical views, and keep the
+extensions whose bound reaches the threshold. Merging and subtree pruning
+can be toggled independently to reproduce the four ablation variants.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bounds import compute_bounds, compute_negative_caps, compute_riu, compute_rsu
 from .database import UtilityDatabase, compute_item_summaries
@@ -65,27 +68,63 @@ class MineResult:
     top_k: list[tuple[tuple[int, ...], int]]
     final_min_util: int
     stats: MineStats
-    min_util_history: list[int] = field(default_factory=lambda: [1])
+    min_util_history: list[int]
 
 
 class _Search:
-    """Per-run mutable search state (single-threaded). Items are ranks."""
+    """Per-run mutable search state (single-threaded). Items are ranks.
 
-    def __init__(self, store: TopKStore, config: MinerConfig, stats: MineStats):
+    Every node goes through one lifecycle: :meth:`_children` delivers the
+    node's occurrences once and builds, counts and offers each candidate
+    that occurs; :meth:`_enter` merges a child's views and counts them as
+    alive until the caller leaves it; :meth:`_survivors` keeps the
+    extensions whose bound reaches the threshold. ``eta`` holds the
+    negative items every negative search starts from.
+    """
+
+    def __init__(self, store: TopKStore, config: MinerConfig, stats: MineStats,
+                 eta: list[int]):
         self.store = store
         self.config = config
         self.stats = stats
+        self.eta = eta
         self.live_views = 0
 
-    def _track(self, delta: int) -> None:
-        self.live_views += delta
+    def _children(self, alpha: tuple[int, ...], pdb: ProjectedDatabase, candidates: list[int]):
+        """Yield ``(index, item, itemset, child)`` for each candidate that
+        occurs in ``pdb``, in candidate order, after counting and offering
+        the child's itemset."""
+        buckets = deliver(pdb, set(candidates))
+        for idx, z in enumerate(candidates):
+            occurrences = buckets.pop(z, None)
+            if occurrences is None:
+                continue
+            child = project(pdb, z, occurrences)
+            self.stats.projections += 1
+            self.stats.candidates += 1
+            beta = alpha + (z,)
+            self.store.offer(beta, child.utility)
+            yield idx, z, beta, child
+
+    def _enter(self, pdb: ProjectedDatabase) -> ProjectedDatabase:
+        """Merge the node's views when merging is on and count them as alive;
+        the caller subtracts them again when it leaves the node."""
+        if self.config.enable_merging and pdb.views:
+            merged = merge_identical(pdb)
+            self.stats.merges += len(pdb.views) - len(merged.views)
+            pdb = merged
+        self.live_views += len(pdb.views)
         if self.live_views > self.stats.peak_entries:
             self.stats.peak_entries = self.live_views
+        return pdb
 
-    def _merge(self, pdb: ProjectedDatabase) -> ProjectedDatabase:
-        merged = merge_identical(pdb)
-        self.stats.merges += len(pdb.views) - len(merged.views)
-        return merged
+    def _survivors(self, candidates: list[int], bound: dict[int, int]) -> list[int]:
+        """The candidates whose bound reaches the threshold or, with subtree
+        pruning off, those that occur in the node (have a bound at all)."""
+        if self.config.enable_subtree_pruning:
+            mu = self.store.min_util
+            return [w for w in candidates if bound.get(w, 0) >= mu]
+        return [w for w in candidates if w in bound]
 
     def search_p(
         self,
@@ -93,37 +132,21 @@ class _Search:
         pdb: ProjectedDatabase,
         primary: list[int],
         secondary: list[int],
-        eta: list[int],
     ) -> None:
         store = self.store
-        config = self.config
-        stats = self.stats
-        buckets = deliver(pdb, set(primary))
-        for z in primary:
-            occurrences = buckets.pop(z, None)
-            if occurrences is None:
-                continue
-            child = project(pdb, z, occurrences)
-            stats.projections += 1
-            stats.candidates += 1
-            beta = alpha + (z,)
-            store.offer(beta, child.utility)
-            if config.enable_merging and child.views:
-                child = self._merge(child)
-            self._track(len(child.views))
+        eta = self.eta
+        for _, z, beta, child in self._children(alpha, pdb, primary):
+            child = self._enter(child)
             if eta and child.views and child.utility > store.min_util:
                 self.search_n(beta, child, eta)
             if child.views:
                 rlu, rsu = compute_bounds(child)
                 mu = store.min_util
                 sec_b = [w for w in secondary if w > z and rlu.get(w, 0) >= mu]
-                if config.enable_subtree_pruning:
-                    prim_b = [w for w in sec_b if rsu.get(w, 0) >= mu]
-                else:
-                    prim_b = sec_b
+                prim_b = self._survivors(sec_b, rsu)
                 if prim_b:
-                    self.search_p(beta, child, prim_b, sec_b, eta)
-            self._track(-len(child.views))
+                    self.search_p(beta, child, prim_b, sec_b)
+            self.live_views -= len(child.views)
 
     def search_n(
         self,
@@ -131,34 +154,15 @@ class _Search:
         pdb: ProjectedDatabase,
         candidates: list[int],
     ) -> None:
-        store = self.store
-        config = self.config
-        stats = self.stats
-        buckets = deliver(pdb, set(candidates))
-        for idx, z in enumerate(candidates):
-            occurrences = buckets.pop(z, None)
-            if occurrences is None:
-                continue
-            child = project(pdb, z, occurrences)
-            stats.projections += 1
-            stats.candidates += 1
-            beta2 = beta + (z,)
-            store.offer(beta2, child.utility)
+        for idx, _, beta2, child in self._children(beta, pdb, candidates):
             rest = candidates[idx + 1:]
             if not rest or not child.views:
                 continue
-            if config.enable_merging:
-                child = self._merge(child)
-            self._track(len(child.views))
-            caps = compute_negative_caps(child)
-            if config.enable_subtree_pruning:
-                mu = store.min_util
-                nxt = [w for w in rest if caps.get(w, 0) >= mu]
-            else:
-                nxt = [w for w in rest if w in caps]
+            child = self._enter(child)
+            nxt = self._survivors(rest, compute_negative_caps(child))
             if nxt:
                 self.search_n(beta2, child, nxt)
-            self._track(-len(child.views))
+            self.live_views -= len(child.views)
 
 
 def mine(db: UtilityDatabase, config: MinerConfig) -> MineResult:
@@ -167,14 +171,10 @@ def mine(db: UtilityDatabase, config: MinerConfig) -> MineResult:
         raise InvalidKError(f"k must be >= 1, got {config.k}")
     t0 = time.perf_counter()
     stats = MineStats()
-    if not db.transactions:
-        stats.runtime_ms = (time.perf_counter() - t0) * 1000
-        return MineResult([], 1, stats)
-
     summaries = compute_item_summaries(db)
     order = build_total_order(summaries)
     store = TopKStore(config.k)
-    store.raise_with_riu(compute_riu(db))
+    store.raise_with_riu(compute_riu(summaries))
 
     # At the root, RLU collapses to RTWU for positive items. From here on
     # items are ranks; results are translated back through ``order.items``.
@@ -183,20 +183,12 @@ def mine(db: UtilityDatabase, config: MinerConfig) -> MineResult:
     secondary0 = [r for r in kept if r < order.positive_cutoff]
     eta = [r for r in kept if r >= order.positive_cutoff]
 
-    root = build_root(remap_database(db, order, {order.items[r] for r in kept}))
-    search = _Search(store, config, stats)
-    if config.enable_merging and root.views:
-        root = search._merge(root)
-    search._track(len(root.views))
-
-    rsu0 = compute_rsu(root)
-    if config.enable_subtree_pruning:
-        primary0 = [z for z in secondary0 if rsu0.get(z, 0) >= store.min_util]
-    else:
-        primary0 = secondary0
-
+    search = _Search(store, config, stats, eta)
+    root = search._enter(build_root(
+        remap_database(db, order, {order.items[r] for r in kept})))
+    primary0 = search._survivors(secondary0, compute_rsu(root))
     if primary0:
-        search.search_p((), root, primary0, secondary0, eta)
+        search.search_p((), root, primary0, secondary0)
 
     top_k = [(tuple(sorted(order.items[r] for r in itemset)), utility)
              for itemset, utility in store.results()]

@@ -6,10 +6,12 @@ dropped field would break every benchmark run, so this mines the worked
 example through both, the way the benchmark does.
 """
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import topicmine.miner as miner_module
 from topicmine import MinerConfig, mine
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -49,3 +51,22 @@ def test_traced_mine_gives_every_bench_figure(bench, example_db):
         "topk.threshold_raises": len(result.min_util_history) - 1,
         "final_min_util": 58,
     }
+
+
+def test_mine_calls_every_wrapped_function(bench, example_db, monkeypatch):
+    """Each function the tracer wraps must still be called through
+    ``topicmine.miner``; otherwise its layer silently reads zero (two of
+    them share ``bounds.root_s``, so a time check alone cannot tell)."""
+    _, tracing = bench
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in tracing._WRAPPED:
+        monkeypatch.setattr(miner_module, name, counting(name, getattr(miner_module, name)))
+    mine(example_db, MinerConfig(5))
+    assert [name for name in tracing._WRAPPED if not calls[name]] == []

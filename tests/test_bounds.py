@@ -54,13 +54,13 @@ class TestRsu:
 
 class TestRiu:
     def test_running_example(self, example_db):
-        assert compute_riu(example_db) == [114, 40, 25, -9, -10]
+        assert compute_riu(compute_item_summaries(example_db)) == [114, 40, 25, -9, -10]
 
     def test_empty_db(self):
-        assert compute_riu(parse_spmf("")) == []
+        assert compute_riu(compute_item_summaries(parse_spmf(""))) == []
 
     def test_single_item(self):
-        assert compute_riu(parse_spmf("3:7:7")) == [7]
+        assert compute_riu(compute_item_summaries(parse_spmf("3:7:7"))) == [7]
 
 
 class TestSoundness:

@@ -28,6 +28,8 @@ class TestMine:
         ]
         history = report["result"]["min_util_history"]
         assert history == [1, 15, 17, 18, 22, 25, 27, 30, 40, 58]
+        assert list(report["result"]["stats"]) == [
+            "candidates", "projections", "merges", "runtime_ms", "peak_entries"]
 
     def test_k_zero_is_usage_error(self, example_file):
         with pytest.raises(SystemExit) as exc:
@@ -98,7 +100,8 @@ class TestBench:
     def test_csv_rows_and_invariants(self, example_file, capsys):
         assert main(["bench", "--input", example_file, "--k", "3,5"]) == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0].startswith("k,variant")
+        assert lines[0] == ("k,variant,candidates,projections,merges,runtime_ms,"
+                            "peak_entries,final_min_util")
         assert len(lines) == 1 + 8  # header + 2 k-values x 4 variants
 
     def test_json_format(self, example_file, capsys):

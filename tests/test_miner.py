@@ -46,6 +46,9 @@ class TestRunningExample:
     def test_empty_db(self):
         result = mine(parse_spmf(""), MinerConfig(5))
         assert result.top_k == [] and result.final_min_util == 1
+        assert result.min_util_history == [1]
+        stats = result.stats
+        assert stats.candidates == stats.projections == stats.merges == stats.peak_entries == 0
 
     def test_stats_populated(self, example_db):
         result = mine(example_db, MinerConfig(5))
