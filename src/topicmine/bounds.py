@@ -1,12 +1,14 @@
 """Linear-time upper bounds (RLU / RSU) and negative-extension caps, plus the
-descending per-item real-utility list used for threshold raising.
+exact single-item and pair utilities used for threshold raising.
 
 Per-node bound maps are plain dicts filled by one pass over the node's view
 suffixes, so each scan stays linear in the suffix length."""
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
+
 from .database import ItemSummary
-from .ordering import ProjectedDatabase
+from .ordering import ProjectedDatabase, deliver
 
 
 def compute_bounds(pdb: ProjectedDatabase) -> tuple[dict[int, int], dict[int, int]]:
@@ -66,3 +68,26 @@ def compute_negative_caps(pdb: ProjectedDatabase) -> dict[int, int]:
 def compute_riu(summaries: list[ItemSummary]) -> list[int]:
     """Per-item real utilities, sorted descending."""
     return sorted((s.utility for s in summaries), reverse=True)
+
+
+def compute_pair_rows(
+    root: ProjectedDatabase, firsts: Iterable[int]
+) -> Iterator[tuple[int, dict[int, int]]]:
+    """Exact pair utilities of the (merged or unmerged) root, one row at a
+    time: for each item ``a`` of ``firsts`` that occurs, yield ``(a, row)``
+    where ``row[b]`` is U({a, b}) for every item b ranked after a in a view
+    holding a. One delivery of the root serves every row, and only one row
+    is alive at a time."""
+    buckets = deliver(root, set(firsts))
+    for a in sorted(buckets):
+        occurrences = buckets.pop(a)
+        row: dict[int, int] = {}
+        pairs = iter(occurrences)
+        for v, p in zip(pairs, pairs):
+            items = v.record.items
+            utils = v.record.utilities
+            ua = utils[p]
+            for q in range(p + 1, len(items)):
+                b = items[q]
+                row[b] = row.get(b, 0) + ua + utils[q]
+        yield a, row

@@ -198,6 +198,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _non_negative_int(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return n
+
+
 def _positive_int(value: str) -> int:
     n = int(value)
     if n < 1:
@@ -230,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check all variants against the brute-force oracle")
     p.add_argument("--input")
     p.add_argument("--k", type=_k_list, default=[1, 3, 5])
-    p.add_argument("--seeds", type=int, default=0,
+    p.add_argument("--seeds", type=_non_negative_int, default=0,
                    help="additionally verify this many random small databases")
     p.add_argument("--lenient", action="store_true")
     p.set_defaults(func=cmd_verify)

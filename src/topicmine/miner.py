@@ -1,8 +1,11 @@
 """Top-k high-utility itemset miner with positive/negative dual search.
 
 :func:`mine` raises the threshold from single-item utilities, prunes the
-database and renames its items to their processing ranks, then runs a
-depth-first search over ranks that extends prefixes with positive items
+database and renames its items to their processing ranks, and builds the
+root. It then raises the threshold again to the k-th largest exact utility
+among the single items and the item pairs that co-occur in the root (the
+CUD strategy of kHMC), before it filters the root's extensions. The search
+is depth-first over ranks: it extends prefixes with positive items
 (recomputing RLU/RSU filters at every node) and branches into a
 negative-items-only search whenever a prefix strictly beats the current
 threshold. The root, the positive and the negative nodes share one
@@ -13,13 +16,22 @@ can be toggled independently to reproduce the four ablation variants.
 """
 from __future__ import annotations
 
+import heapq
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .bounds import compute_bounds, compute_negative_caps, compute_riu, compute_rsu
-from .database import UtilityDatabase, compute_item_summaries
+from .bounds import (
+    compute_bounds,
+    compute_negative_caps,
+    compute_pair_rows,
+    compute_riu,
+    compute_rsu,
+)
+from .database import ItemSummary, UtilityDatabase, compute_item_summaries
 from .ordering import (
     ProjectedDatabase,
+    TotalOrder,
     build_root,
     build_total_order,
     deliver,
@@ -131,21 +143,24 @@ class _Search:
         alpha: tuple[int, ...],
         pdb: ProjectedDatabase,
         primary: list[int],
-        secondary: list[int],
     ) -> None:
+        """Extend ``alpha`` with each positive item of ``primary``. A child's
+        extensions are read off its own RLU map: RLU never grows down the
+        tree and the threshold never falls, so an item the map lacks or
+        rejects was pruned above or does not occur."""
         store = self.store
         eta = self.eta
-        for _, z, beta, child in self._children(alpha, pdb, primary):
+        for _, _, beta, child in self._children(alpha, pdb, primary):
             child = self._enter(child)
             if eta and child.views and child.utility > store.min_util:
                 self.search_n(beta, child, eta)
             if child.views:
                 rlu, rsu = compute_bounds(child)
                 mu = store.min_util
-                sec_b = [w for w in secondary if w > z and rlu.get(w, 0) >= mu]
-                prim_b = self._survivors(sec_b, rsu)
+                # unnamed, so only prim_b stays alive through the recursion
+                prim_b = self._survivors(sorted(w for w, b in rlu.items() if b >= mu), rsu)
                 if prim_b:
-                    self.search_p(beta, child, prim_b, sec_b)
+                    self.search_p(beta, child, prim_b)
             self.live_views -= len(child.views)
 
     def search_n(
@@ -154,15 +169,33 @@ class _Search:
         pdb: ProjectedDatabase,
         candidates: list[int],
     ) -> None:
+        """Extend ``beta`` with each negative item of ``candidates``. A child
+        holds only negative items ranked after its last one, and its cap map
+        covers exactly those; the cap never grows down the tree, so the map's
+        keys that pass the filter are the surviving later candidates."""
+        last = len(candidates) - 1
         for idx, _, beta2, child in self._children(beta, pdb, candidates):
-            rest = candidates[idx + 1:]
-            if not rest or not child.views:
+            if idx == last or not child.views:
                 continue
             child = self._enter(child)
-            nxt = self._survivors(rest, compute_negative_caps(child))
+            caps = compute_negative_caps(child)
+            nxt = self._survivors(sorted(caps), caps)
             if nxt:
                 self.search_n(beta2, child, nxt)
             self.live_views -= len(child.views)
+
+
+def _item_and_pair_utilities(summaries: list[ItemSummary], order: TotalOrder,
+                             root: ProjectedDatabase, positives: list[int],
+                             k: int) -> Iterator[int]:
+    """Yield the exact utility of every item, then of every pair in the root
+    led by one of the k items of ``positives`` with the highest utility.
+    Each value belongs to a distinct itemset, as the pair raise needs."""
+    for s in summaries:
+        yield s.utility
+    firsts = heapq.nlargest(k, positives, key=lambda r: summaries[order.items[r]].utility)
+    for _, row in compute_pair_rows(root, firsts):
+        yield from row.values()
 
 
 def mine(db: UtilityDatabase, config: MinerConfig) -> MineResult:
@@ -174,21 +207,22 @@ def mine(db: UtilityDatabase, config: MinerConfig) -> MineResult:
     summaries = compute_item_summaries(db)
     order = build_total_order(summaries)
     store = TopKStore(config.k)
-    store.raise_with_riu(compute_riu(summaries))
+    store.raise_to_kth(compute_riu(summaries))
 
     # At the root, RLU collapses to RTWU for positive items. From here on
     # items are ranks; results are translated back through ``order.items``.
     mu = store.min_util
     kept = [r for r, i in enumerate(order.items) if summaries[i].rtwu >= mu]
-    secondary0 = [r for r in kept if r < order.positive_cutoff]
+    positives = [r for r in kept if r < order.positive_cutoff]
     eta = [r for r in kept if r >= order.positive_cutoff]
 
     search = _Search(store, config, stats, eta)
     root = search._enter(build_root(
         remap_database(db, order, {order.items[r] for r in kept})))
-    primary0 = search._survivors(secondary0, compute_rsu(root))
+    store.raise_to_kth(_item_and_pair_utilities(summaries, order, root, positives, config.k))
+    primary0 = search._survivors(positives, compute_rsu(root))
     if primary0:
-        search.search_p((), root, primary0, secondary0)
+        search.search_p((), root, primary0)
 
     top_k = [(tuple(sorted(order.items[r] for r in itemset)), utility)
              for itemset, utility in store.results()]

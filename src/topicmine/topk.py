@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable
 
 
 class _Entry:
@@ -42,11 +43,15 @@ class TopKStore:
             self.min_util = value
             self.history.append(value)
 
-    def raise_with_riu(self, riu_list: list[int]) -> int:
-        """RIU strategy: with at least k single-item utilities available,
-        raise the threshold to the k-th largest (never below the floor)."""
-        if len(riu_list) >= self.k:
-            self._raise_to(max(FLOOR, riu_list[self.k - 1]))
+    def raise_to_kth(self, values: Iterable[int]) -> int:
+        """With at least k values, raise the threshold to the k-th largest
+        (never below the floor). Sound only when every value is the exact
+        utility of a distinct itemset: then at least k itemsets reach the
+        new threshold, so none of the top k falls below it. Only k values
+        are held at once."""
+        best = heapq.nlargest(self.k, values)
+        if len(best) == self.k:
+            self._raise_to(max(FLOOR, best[-1]))
         return self.min_util
 
     def offer(self, itemset: tuple[int, ...], utility: int) -> int:

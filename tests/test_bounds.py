@@ -1,8 +1,16 @@
-from helpers import campaign_db, check_bound_soundness
+import pytest
+from helpers import campaign_db, check_bound_soundness, example_database
 
 from topicmine import compute_item_summaries, parse_spmf
-from topicmine.bounds import compute_bounds, compute_riu
-from topicmine.ordering import build_root, build_total_order, project, remap_database
+from topicmine.bounds import compute_bounds, compute_pair_rows, compute_riu
+from topicmine.oracle import utility_of
+from topicmine.ordering import (
+    build_root,
+    build_total_order,
+    merge_identical,
+    project,
+    remap_database,
+)
 
 
 def rooted(db, ids=None):
@@ -61,6 +69,43 @@ class TestRiu:
 
     def test_single_item(self):
         assert compute_riu(compute_item_summaries(parse_spmf("3:7:7"))) == [7]
+
+
+class TestPairRows:
+    @pytest.mark.parametrize("merged", [False, True], ids=["unmerged", "merged"])
+    @pytest.mark.parametrize("make_db", [example_database, lambda: campaign_db(5, 0.3)],
+                             ids=["example", "campaign-5"])
+    def test_rows_hold_exact_pair_utilities(self, make_db, merged):
+        # one value per pair {a, b} that shares a transaction, with a the
+        # positive item ranked first, equal to the oracle's U({a, b})
+        db = make_db()
+        order = build_total_order(compute_item_summaries(db))
+        root, _ = rooted(db)
+        if merged:
+            merged_root = merge_identical(root)
+            assert len(merged_root.views) < len(root.views)
+            root = merged_root
+        got = {}
+        for a, row in compute_pair_rows(root, range(order.positive_cutoff)):
+            for b, utility in row.items():
+                got[a, b] = utility
+        expected = {}
+        for t in db.transactions:
+            ranks = sorted(order.rank[i] for i in t.items)
+            for x, a in enumerate(ranks):
+                if a < order.positive_cutoff:
+                    for b in ranks[x + 1:]:
+                        expected[a, b] = utility_of(db, (order.items[a], order.items[b]))
+        assert any(b >= order.positive_cutoff for _, b in expected)
+        assert got == expected
+
+    def test_rows_only_for_firsts(self, example_db, ids):
+        root, r = rooted(example_db, ids)
+        # rows only for the given items, each holding the items ranked after
+        # it: E precedes A, so A's row lacks it, and C is last, so its row is empty
+        assert [r[n] for n in "EADBC"] == [0, 1, 2, 3, 4]
+        rows = dict(compute_pair_rows(root, [r["A"], r["C"]]))
+        assert rows == {r["A"]: {r["D"]: 62}, r["C"]: {}}
 
 
 class TestSoundness:

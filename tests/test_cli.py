@@ -27,7 +27,7 @@ class TestMine:
             {"items": [2, 3, 4], "utility": 58},
         ]
         history = report["result"]["min_util_history"]
-        assert history == [1, 15, 17, 18, 22, 25, 27, 30, 40, 58]
+        assert history == [1, 40, 58]
         assert list(report["result"]["stats"]) == [
             "candidates", "projections", "merges", "runtime_ms", "peak_entries"]
 
@@ -70,6 +70,13 @@ class TestVerify:
             main(["verify", "--seeds", "1", "--k", ","])
         assert exc.value.code == EXIT_USAGE
         assert "at least one k" in capsys.readouterr().err
+
+    def test_negative_seed_count_is_usage_error(self, example_file, capsys):
+        for extra in ([], ["--input", example_file]):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--seeds", "-3"] + extra)
+            assert exc.value.code == EXIT_USAGE
+            assert "must be >= 0" in capsys.readouterr().err
 
     def test_detects_corrupted_results(self, example_file, tmp_path, capsys, monkeypatch):
         # harness self-test: a miner that drops the best itemset, or returns

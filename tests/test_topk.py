@@ -9,19 +9,19 @@ from topicmine.topk import TopKStore
 class TestRiuRaising:
     def test_kth_value_raises(self):
         store = TopKStore(2)
-        assert store.raise_with_riu([114, 40, 25, -9, -10]) == 40
+        assert store.raise_to_kth([114, 40, 25, -9, -10]) == 40
 
     def test_kth_value_below_floor_is_clamped(self):
         store = TopKStore(5)
-        assert store.raise_with_riu([114, 40, 25, -9, -10]) == 1
+        assert store.raise_to_kth([114, 40, 25, -9, -10]) == 1
 
     def test_short_list_leaves_threshold(self):
         store = TopKStore(3)
-        assert store.raise_with_riu([7, 5]) == 1
+        assert store.raise_to_kth([7, 5]) == 1
 
     def test_k1(self):
         store = TopKStore(1)
-        assert store.raise_with_riu([7]) == 7
+        assert store.raise_to_kth([7]) == 7
 
 
 class TestOffer:
@@ -82,7 +82,7 @@ class TestOffer:
 
     def test_threshold_never_decreases(self):
         store = TopKStore(2)
-        store.raise_with_riu([9, 4, 1])
+        store.raise_to_kth([9, 4, 1])
         for i, u in enumerate([4, 9, 30, 6, 50]):
             store.offer((i,), u)
         assert store.history == sorted(store.history)
