@@ -83,7 +83,6 @@ class ItemSummary:
     utility: int      # sum of U(x, T) over all transactions containing x
     twu: int          # sum of TU(T) over transactions containing x
     rtwu: int         # like twu, but TU replaced by its positive part
-    support: int
     positive: bool
 
 
@@ -177,21 +176,19 @@ def write_spmf(db: UtilityDatabase) -> str:
 
 
 def compute_item_summaries(db: UtilityDatabase) -> list[ItemSummary]:
-    """Compute utility, TWU, RTWU and support for every item (dense-id order)."""
+    """Compute utility, TWU and RTWU for every item (dense-id order)."""
     n = db.item_count
     utility = [0] * n
     twu = [0] * n
     rtwu = [0] * n
-    support = [0] * n
     for t in db.transactions:
         rtu = sum(u for u in t.utilities if u > 0)
         for i, u in zip(t.items, t.utilities):
             utility[i] += u
             twu[i] += t.tu
             rtwu[i] += rtu
-            support[i] += 1
     return [
-        ItemSummary(i, utility[i], twu[i], rtwu[i], support[i], i in db.positive_items)
+        ItemSummary(i, utility[i], twu[i], rtwu[i], i in db.positive_items)
         for i in range(n)
     ]
 

@@ -5,14 +5,17 @@ database and renames its items to their processing ranks, and builds the
 root. It then raises the threshold again to the k-th largest exact utility
 among the single items and the item pairs that co-occur in the root (the
 CUD strategy of kHMC), before it filters the root's extensions. The search
-is depth-first over ranks: it extends prefixes with positive items
+is depth-first over ranks and runs in one loop over an explicit stack, so
+it has no depth limit: it extends prefixes with positive items
 (recomputing RLU/RSU filters at every node) and branches into a
 negative-items-only search whenever a prefix strictly beats the current
 threshold. The root, the positive and the negative nodes share one
 lifecycle: build, count and offer each candidate child from one delivery
 of the node's occurrences, merge the child's identical views, and keep the
-extensions whose bound reaches the threshold. Merging and subtree pruning
-can be toggled independently to reproduce the four ablation variants.
+extensions whose bound reaches the threshold. Each candidate's bound is
+checked again against the threshold of the moment before it is projected.
+Merging and subtree pruning can be toggled independently to reproduce the
+four ablation variants.
 """
 from __future__ import annotations
 
@@ -86,12 +89,17 @@ class MineResult:
 class _Search:
     """Per-run mutable search state (single-threaded). Items are ranks.
 
-    Every node goes through one lifecycle: :meth:`_children` delivers the
-    node's occurrences once and builds, counts and offers each candidate
-    that occurs; :meth:`_enter` merges a child's views and counts them as
-    alive until the caller leaves it; :meth:`_survivors` keeps the
-    extensions whose bound reaches the threshold. ``eta`` holds the
-    negative items every negative search starts from.
+    The search runs in one loop over an explicit stack (:meth:`run`), so its
+    depth is not limited by the interpreter's. Each node is a generator that
+    yields its sub-searches, in order, as unstarted generators, and leaves
+    the child they searched when resumed. Every node goes through one
+    lifecycle: :meth:`_children` delivers the node's occurrences once and
+    builds, counts and offers each candidate that occurs, skipping (with
+    subtree pruning on) one whose bound has fallen below the threshold by
+    its turn; :meth:`_enter` merges a child's views and counts them as alive
+    until the node leaves it; :meth:`_survivors` keeps the extensions whose
+    bound reaches the threshold. ``eta`` holds the negative items every
+    negative search starts from.
     """
 
     def __init__(self, store: TopKStore, config: MinerConfig, stats: MineStats,
@@ -102,14 +110,28 @@ class _Search:
         self.eta = eta
         self.live_views = 0
 
-    def _children(self, alpha: tuple[int, ...], pdb: ProjectedDatabase, candidates: list[int]):
+    def run(self, root: ProjectedDatabase, primary: list[int], rsu: dict[int, int]) -> None:
+        """Search depth first from the root: resume the top node, push the
+        sub-search it yields and pop it once it is exhausted."""
+        stack = [self.search_p((), root, primary, rsu)]
+        while stack:
+            sub = next(stack[-1], None)
+            if sub is None:
+                stack.pop()
+            else:
+                stack.append(sub)
+
+    def _children(self, alpha: tuple[int, ...], pdb: ProjectedDatabase, candidates: list[int],
+                  bound: dict[int, int] | None):
         """Yield ``(index, item, itemset, child)`` for each candidate that
         occurs in ``pdb``, in candidate order, after counting and offering
-        the child's itemset."""
+        the child's itemset. With subtree pruning on, a candidate whose
+        ``bound`` is below the threshold when its turn comes is skipped."""
         buckets = deliver(pdb, set(candidates))
+        prune = bound is not None and self.config.enable_subtree_pruning
         for idx, z in enumerate(candidates):
             occurrences = buckets.pop(z, None)
-            if occurrences is None:
+            if occurrences is None or (prune and bound[z] < self.store.min_util):
                 continue
             child = project(pdb, z, occurrences)
             self.stats.projections += 1
@@ -120,7 +142,7 @@ class _Search:
 
     def _enter(self, pdb: ProjectedDatabase) -> ProjectedDatabase:
         """Merge the node's views when merging is on and count them as alive;
-        the caller subtracts them again when it leaves the node."""
+        the node subtracts them again when it leaves the child."""
         if self.config.enable_merging and pdb.views:
             merged = merge_identical(pdb)
             self.stats.merges += len(pdb.views) - len(merged.views)
@@ -138,50 +160,44 @@ class _Search:
             return [w for w in candidates if bound.get(w, 0) >= mu]
         return [w for w in candidates if w in bound]
 
-    def search_p(
-        self,
-        alpha: tuple[int, ...],
-        pdb: ProjectedDatabase,
-        primary: list[int],
-    ) -> None:
-        """Extend ``alpha`` with each positive item of ``primary``. A child's
-        extensions are read off its own RLU map: RLU never grows down the
-        tree and the threshold never falls, so an item the map lacks or
-        rejects was pruned above or does not occur."""
+    def search_p(self, alpha: tuple[int, ...], pdb: ProjectedDatabase, primary: list[int],
+                 rsu: dict[int, int]) -> Iterator[Iterator]:
+        """Extend ``alpha`` with each positive item of ``primary``, whose RSU
+        in ``pdb`` is ``rsu``. A child's extensions are read off its own RLU
+        map: RLU never grows down the tree and the threshold never falls, so
+        an item the map lacks or rejects was pruned above or does not occur."""
         store = self.store
         eta = self.eta
-        for _, _, beta, child in self._children(alpha, pdb, primary):
+        for _, _, beta, child in self._children(alpha, pdb, primary, rsu):
             child = self._enter(child)
             if eta and child.views and child.utility > store.min_util:
-                self.search_n(beta, child, eta)
+                yield self.search_n(beta, child, eta, None)
             if child.views:
-                rlu, rsu = compute_bounds(child)
+                rlu, child_rsu = compute_bounds(child)
                 mu = store.min_util
-                # unnamed, so only prim_b stays alive through the recursion
-                prim_b = self._survivors(sorted(w for w, b in rlu.items() if b >= mu), rsu)
+                # unnamed, so only prim_b stays alive through the sub-search
+                prim_b = self._survivors(sorted(w for w, b in rlu.items() if b >= mu), child_rsu)
                 if prim_b:
-                    self.search_p(beta, child, prim_b)
+                    yield self.search_p(beta, child, prim_b, child_rsu)
             self.live_views -= len(child.views)
 
-    def search_n(
-        self,
-        beta: tuple[int, ...],
-        pdb: ProjectedDatabase,
-        candidates: list[int],
-    ) -> None:
-        """Extend ``beta`` with each negative item of ``candidates``. A child
-        holds only negative items ranked after its last one, and its cap map
-        covers exactly those; the cap never grows down the tree, so the map's
-        keys that pass the filter are the surviving later candidates."""
+    def search_n(self, beta: tuple[int, ...], pdb: ProjectedDatabase, candidates: list[int],
+                 caps: dict[int, int] | None) -> Iterator[Iterator]:
+        """Extend ``beta`` with each negative item of ``candidates``, whose
+        caps in ``pdb`` are ``caps`` (``None`` on entry from a positive
+        node). A child holds only negative items ranked after its last one,
+        and its cap map covers exactly those; the cap never grows down the
+        tree, so the map's keys that pass the filter are the surviving later
+        candidates."""
         last = len(candidates) - 1
-        for idx, _, beta2, child in self._children(beta, pdb, candidates):
+        for idx, _, beta2, child in self._children(beta, pdb, candidates, caps):
             if idx == last or not child.views:
                 continue
             child = self._enter(child)
-            caps = compute_negative_caps(child)
-            nxt = self._survivors(sorted(caps), caps)
+            child_caps = compute_negative_caps(child)
+            nxt = self._survivors(sorted(child_caps), child_caps)
             if nxt:
-                self.search_n(beta2, child, nxt)
+                yield self.search_n(beta2, child, nxt, child_caps)
             self.live_views -= len(child.views)
 
 
@@ -220,9 +236,10 @@ def mine(db: UtilityDatabase, config: MinerConfig) -> MineResult:
     root = search._enter(build_root(
         remap_database(db, order, {order.items[r] for r in kept})))
     store.raise_to_kth(_item_and_pair_utilities(summaries, order, root, positives, config.k))
-    primary0 = search._survivors(positives, compute_rsu(root))
+    rsu = compute_rsu(root)
+    primary0 = search._survivors(positives, rsu)
     if primary0:
-        search.search_p((), root, primary0)
+        search.run(root, primary0, rsu)
 
     top_k = [(tuple(sorted(order.items[r] for r in itemset)), utility)
              for itemset, utility in store.results()]

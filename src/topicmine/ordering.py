@@ -139,17 +139,14 @@ def deliver(pdb: ProjectedDatabase, wanted) -> dict[int, list]:
     return buckets
 
 
-def project(pdb: ProjectedDatabase, x: int, occurrences=None) -> ProjectedDatabase:
+def project(pdb: ProjectedDatabase, x: int, occurrences) -> ProjectedDatabase:
     """Project on item x: keep views containing x, advance offsets past x, and
     fold U(x, view) into each prefix utility.
 
-    ``occurrences`` is x's bucket from :func:`deliver` on ``pdb``; when
-    omitted, it is delivered here. Views whose remaining suffix is empty
-    still contribute to the new prefix's utility and support but are dropped
-    from the result.
+    ``occurrences`` is x's bucket from :func:`deliver` on ``pdb``. Views whose
+    remaining suffix is empty still contribute to the new prefix's utility
+    and support but are dropped from the result.
     """
-    if occurrences is None:
-        occurrences = deliver(pdb, {x}).get(x, ())
     views = []
     utility = 0
     support = 0

@@ -10,7 +10,14 @@ from topicmine import (
     parse_spmf,
 )
 from topicmine.bounds import compute_bounds, compute_negative_caps
-from topicmine.ordering import build_root, build_total_order, merge_identical, project, remap_database
+from topicmine.ordering import (
+    build_root,
+    build_total_order,
+    deliver,
+    merge_identical,
+    project,
+    remap_database,
+)
 from topicmine.oracle import all_supported_utilities, utility_of
 from topicmine.topk import TopKStore
 
@@ -46,6 +53,11 @@ class CheckingTopKStore(TopKStore):
             raise AssertionError(f"duplicate candidate {itemset}")
         self.offered.add(key)
         return super().offer(itemset, utility)
+
+
+def project_on(pdb, z):
+    """``project(pdb, z)`` on the bucket that ``deliver`` finds for z."""
+    return project(pdb, z, deliver(pdb, {z}).get(z, ()))
 
 
 def as_pair_set(pairs):
@@ -106,7 +118,7 @@ def check_bound_soundness(db: UtilityDatabase) -> int:
         child_max: dict[int, float] = {}
         child_containing: dict[int, dict[int, float]] = {}
         for z in range(last + 1, m):
-            child = project(pdb, z)
+            child = project_on(pdb, z)
             if child.support == 0:
                 child_max[z] = NONE
                 child_containing[z] = {}

@@ -1,5 +1,5 @@
 import pytest
-from helpers import campaign_db, check_bound_soundness, example_database
+from helpers import campaign_db, check_bound_soundness, example_database, project_on
 
 from topicmine import compute_item_summaries, parse_spmf
 from topicmine.bounds import compute_bounds, compute_pair_rows, compute_riu
@@ -8,7 +8,6 @@ from topicmine.ordering import (
     build_root,
     build_total_order,
     merge_identical,
-    project,
     remap_database,
 )
 
@@ -29,24 +28,24 @@ class TestRlu:
 
     def test_empty_projection(self, example_db, ids):
         root, r = rooted(example_db, ids)
-        empty = project(project(root, r["E"]), r["D"])
-        assert compute_bounds(project(empty, r["D"])) == ({}, {})
+        empty = project_on(project_on(root, r["E"]), r["D"])
+        assert compute_bounds(project_on(empty, r["D"])) == ({}, {})
 
     def test_after_projecting_a(self, example_db, ids):
         root, r = rooted(example_db, ids)
-        rlu, _ = compute_bounds(project(root, r["A"]))
+        rlu, _ = compute_bounds(project_on(root, r["A"]))
         assert rlu[r["D"]] == 62  # (5+12) + (15+30)
 
 
 class TestRsu:
     def test_after_projecting_a(self, example_db, ids):
         root, r = rooted(example_db, ids)
-        _, rsu = compute_bounds(project(root, r["A"]))
+        _, rsu = compute_bounds(project_on(root, r["A"]))
         assert rsu[r["D"]] == 62
 
     def test_negative_item_rsu_is_exact(self, example_db, ids):
         root, r = rooted(example_db, ids)
-        _, rsu = compute_bounds(project(root, r["D"]))
+        _, rsu = compute_bounds(project_on(root, r["D"]))
         # no positive item follows B, so RSU collapses to U({B, D})
         assert rsu[r["B"]] == 66
         assert rsu[r["C"]] == 64
@@ -54,7 +53,7 @@ class TestRsu:
     def test_rlu_dominates_rsu_for_positives(self, example_db):
         root, _ = rooted(example_db)
         for item in range(example_db.item_count):
-            child = project(root, item)
+            child = project_on(root, item)
             rlu, rsu = compute_bounds(child)
             for z, bound in rlu.items():
                 assert bound >= rsu[z]

@@ -1,5 +1,5 @@
 import pytest
-from helpers import campaign_db, example_database
+from helpers import campaign_db, example_database, project_on
 
 from topicmine import compute_item_summaries, generate_synthetic, parse_spmf
 from topicmine.ordering import (
@@ -82,7 +82,7 @@ class TestRemap:
 class TestProject:
     def test_project_on_a(self, example_db, ids):
         root, r = example_root(example_db, ids)
-        child = project(root, r["A"])
+        child = project_on(root, r["A"])
         # T1, T3, T4 contain A with prefix utilities 5/15/5; T4's suffix is
         # empty (E precedes A), so it is accounted then dropped.
         assert child.utility == 25
@@ -97,15 +97,15 @@ class TestProject:
 
     def test_absent_item(self, example_db, ids):
         root, r = example_root(example_db, ids)
-        child = project(project(root, r["E"]), r["B"])
-        grandchild = project(child, r["B"])
+        child = project_on(project_on(root, r["E"]), r["B"])
+        grandchild = project_on(child, r["B"])
         assert grandchild.views == [] and grandchild.support == 0
 
     def test_projection_never_grows(self, example_db):
         rdb, _ = remapped_example(example_db)
         root = build_root(rdb)
         for item in range(example_db.item_count):
-            child = project(root, item)
+            child = project_on(root, item)
             assert len(child.views) <= len(root.views)
 
 
@@ -137,12 +137,12 @@ def fields(pdb):
 
 def delivered_children(pdb, wanted, merging):
     """Build every child of ``pdb`` over ``wanted`` from one delivery, check
-    each against ``project(pdb, z)`` and the scan reference, and return the
+    each against ``project_on(pdb, z)`` and the scan reference, and return the
     non-empty children by item (merged when ``merging``)."""
     buckets = deliver(pdb, set(wanted))
     children = {}
     for z in wanted:
-        expected = fields(project(pdb, z))
+        expected = fields(project_on(pdb, z))
         assert scan_project(pdb, z) == expected
         if z not in buckets:
             assert expected[1] == 0
@@ -175,7 +175,7 @@ class TestDeliver:
 
     def test_unwanted_and_absent_items_get_no_bucket(self, example_db, ids):
         root, r = example_root(example_db, ids)
-        child = project(root, r["A"])  # suffixes hold only D
+        child = project_on(root, r["A"])  # suffixes hold only D
         assert set(deliver(child, {r["B"], r["D"]})) == {r["D"]}
         assert deliver(child, {r["B"]}) == {}
 
@@ -206,7 +206,7 @@ class TestMerge:
 
     def test_merged_prefix_utilities_sum(self, example_db, ids):
         root, r = example_root(example_db, ids)
-        child = merge_identical(project(root, r["D"]))
+        child = merge_identical(project_on(root, r["D"]))
         # T2 and T5 project to the identical {B, C} suffix
         assert [v.prefix_utility for v in child.views] == [72]
         assert child.views[0].weight == 2
