@@ -9,13 +9,15 @@ is depth-first over ranks and runs in one loop over an explicit stack, so
 it has no depth limit: it extends prefixes with positive items
 (recomputing RLU/RSU filters at every node) and branches into a
 negative-items-only search whenever a prefix strictly beats the current
-threshold. The root, the positive and the negative nodes share one
-lifecycle: build, count and offer each candidate child from one delivery
-of the node's occurrences, merge the child's identical views, and keep the
-extensions whose bound reaches the threshold. Each candidate's bound is
-checked again against the threshold of the moment before it is projected.
-Merging and subtree pruning can be toggled independently to reproduce the
-four ablation variants.
+threshold. That search starts from the negative items whose positive-prefix
+cap under the prefix reaches the threshold, and every deeper negative node
+is filtered by the same cap. The root, the positive and the negative nodes
+share one lifecycle: build, count and offer each candidate child from one
+delivery of the node's occurrences, merge the child's identical views, and
+keep the extensions whose bound reaches the threshold. Each candidate's
+bound is checked again against the threshold of the moment before it is
+projected. Merging and subtree pruning can be toggled independently to
+reproduce the four ablation variants.
 """
 from __future__ import annotations
 
@@ -98,8 +100,9 @@ class _Search:
     subtree pruning on) one whose bound has fallen below the threshold by
     its turn; :meth:`_enter` merges a child's views and counts them as alive
     until the node leaves it; :meth:`_survivors` keeps the extensions whose
-    bound reaches the threshold. ``eta`` holds the negative items every
-    negative search starts from.
+    bound reaches the threshold. ``eta`` holds the kept negative items; a
+    negative search starts from those whose cap under its positive prefix
+    reaches the threshold.
     """
 
     def __init__(self, store: TopKStore, config: MinerConfig, stats: MineStats,
@@ -122,13 +125,14 @@ class _Search:
                 stack.append(sub)
 
     def _children(self, alpha: tuple[int, ...], pdb: ProjectedDatabase, candidates: list[int],
-                  bound: dict[int, int] | None):
+                  bound: dict[int, int]):
         """Yield ``(index, item, itemset, child)`` for each candidate that
         occurs in ``pdb``, in candidate order, after counting and offering
         the child's itemset. With subtree pruning on, a candidate whose
-        ``bound`` is below the threshold when its turn comes is skipped."""
+        ``bound`` (RSU at a positive node, the negative cap at a negative
+        one) is below the threshold when its turn comes is skipped."""
         buckets = deliver(pdb, set(candidates))
-        prune = bound is not None and self.config.enable_subtree_pruning
+        prune = self.config.enable_subtree_pruning
         for idx, z in enumerate(candidates):
             occurrences = buckets.pop(z, None)
             if occurrences is None or (prune and bound[z] < self.store.min_util):
@@ -165,13 +169,19 @@ class _Search:
         """Extend ``alpha`` with each positive item of ``primary``, whose RSU
         in ``pdb`` is ``rsu``. A child's extensions are read off its own RLU
         map: RLU never grows down the tree and the threshold never falls, so
-        an item the map lacks or rejects was pruned above or does not occur."""
+        an item the map lacks or rejects was pruned above or does not occur.
+        A child that strictly beats the threshold enters the negative search
+        with the items of ``eta`` that pass its cap map."""
         store = self.store
         eta = self.eta
         for _, _, beta, child in self._children(alpha, pdb, primary, rsu):
             child = self._enter(child)
             if eta and child.views and child.utility > store.min_util:
-                yield self.search_n(beta, child, eta, None)
+                caps = compute_negative_caps(child)
+                neg = self._survivors(eta, caps)
+                if neg:
+                    yield self.search_n(beta, child, neg, caps)
+                del caps, neg  # not kept alive through the positive sub-search
             if child.views:
                 rlu, child_rsu = compute_bounds(child)
                 mu = store.min_util
@@ -182,13 +192,15 @@ class _Search:
             self.live_views -= len(child.views)
 
     def search_n(self, beta: tuple[int, ...], pdb: ProjectedDatabase, candidates: list[int],
-                 caps: dict[int, int] | None) -> Iterator[Iterator]:
+                 caps: dict[int, int]) -> Iterator[Iterator]:
         """Extend ``beta`` with each negative item of ``candidates``, whose
-        caps in ``pdb`` are ``caps`` (``None`` on entry from a positive
-        node). A child holds only negative items ranked after its last one,
-        and its cap map covers exactly those; the cap never grows down the
-        tree, so the map's keys that pass the filter are the surviving later
-        candidates."""
+        caps in ``pdb`` are ``caps``. The cap of w is the sum of the positive
+        prefix utility over the views holding w; every itemset under
+        ``beta + w`` adds only negative utilities over some of those views,
+        so it is worth less. A child holds only negative items ranked after
+        its last one, and its cap map covers exactly those; the cap never
+        grows down the tree, so the map's keys that pass the filter are the
+        surviving later candidates."""
         last = len(candidates) - 1
         for idx, _, beta2, child in self._children(beta, pdb, candidates, caps):
             if idx == last or not child.views:

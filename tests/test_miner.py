@@ -1,8 +1,10 @@
 import random
 
 import pytest
+import topicmine.miner
 from helpers import (
     VARIANT_NAMES,
+    CheckingTopKStore,
     as_pair_set,
     campaign_db,
     example_database,
@@ -12,8 +14,16 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topicmine import InvalidKError, MinerConfig, enumerate_topk, mine, parse_spmf
+from topicmine import (
+    InvalidKError,
+    MinerConfig,
+    compute_item_summaries,
+    enumerate_topk,
+    mine,
+    parse_spmf,
+)
 from topicmine.oracle import all_supported_utilities
+from topicmine.ordering import build_total_order
 
 
 class TestConfig:
@@ -233,9 +243,9 @@ COUNTER_GOLDEN = {
         "none": (8, 8, 0, 10, 58),
     },
     "campaign-5": {
-        "full": (45, 45, 10, 27, 54),
+        "full": (35, 35, 9, 27, 54),
         "merge-only": (51, 51, 12, 27, 54),
-        "subtree-only": (45, 45, 0, 42, 54),
+        "subtree-only": (35, 35, 0, 42, 54),
         "none": (51, 51, 0, 42, 54),
     },
 }
@@ -255,6 +265,33 @@ def test_counters_match_golden(db_name):
         got = (st.candidates, st.projections, st.merges, st.peak_entries, result.final_min_util)
         assert got == COUNTER_GOLDEN[db_name][name], name
         assert result.min_util_history == HISTORY_GOLDEN[db_name], name
+
+
+def test_negative_entry_is_cut_by_caps(monkeypatch):
+    # A (label 1) wins with 11 > threshold 9 (the pair {A, C} at k=2), so a
+    # negative search is entered under A. N (label 4) co-occurs with A only
+    # where A is worth 1, so N's cap under A is 1 and {A, N} (utility 0) is
+    # cut before it is projected; N itself survives the root's RTWU filter.
+    db = parse_spmf("1:10:10\n1 3 4:8:1 8 -1\n2:5:5")
+    a, n = db.labels.index(1), db.labels.index(4)
+    order = build_total_order(compute_item_summaries(db))
+    rank = {item: r for r, item in enumerate(order.items)}
+    stores = []
+
+    class Recording(CheckingTopKStore):
+        def __init__(self, k):
+            super().__init__(k)
+            stores.append(self)
+
+    monkeypatch.setattr(topicmine.miner, "TopKStore", Recording)
+    expected = enumerate_topk(db, 2).top_k
+    assert expected[0] == ((a,), 11) and expected[1][1] == 9
+    for name in VARIANT_NAMES:
+        result = mine(db, MinerConfig.variant(2, name))
+        assert result.top_k == expected, name
+        assert result.final_min_util == 9, name
+        offered_an = frozenset((rank[a], rank[n])) in stores[-1].offered
+        assert offered_an == (name in ("merge-only", "none")), name
 
 
 def test_pair_raise_reaches_kth_item_or_pair_utility():
