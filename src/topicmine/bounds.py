@@ -1,67 +1,64 @@
 """Linear-time upper bounds (RLU / RSU) and negative-extension caps, plus the
 exact single-item and pair utilities used for threshold raising.
 
-Per-node bound maps are plain dicts filled by one pass over the node's view
-suffixes, so each scan stays linear in the suffix length."""
+Per-node bound maps are plain lists indexed by rank, filled by one pass over
+the node's view suffixes (EFIM's utility-bin arrays). Ranks put every
+positive item before every negative one, so each view's suffix splits at the
+first rank of a negative item: the RLU/RSU scan reads only the positions
+before that split and the cap scan only those from it on."""
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 
 from .database import ItemSummary
 from .ordering import ProjectedDatabase, deliver
 
 
-def compute_bounds(pdb: ProjectedDatabase) -> tuple[dict[int, int], dict[int, int]]:
-    """One scan returning (rlu, rsu) for the items present in the projection.
+def compute_bounds(pdb: ProjectedDatabase, cutoff: int) -> tuple[list[int], list[int]]:
+    """One scan returning (rlu, rsu), each indexed by positive rank
+    (``cutoff`` is the first negative rank); an item that does not occur in
+    the projection reads 0.
 
-    RLU(z), for positive z only: sum over views containing z of prefix
-    utility + remaining positive utility. Negative items never receive an
-    RLU (they are never extensible).
-
-    RSU(z), for every z: sum over views containing z of prefix utility +
-    U(z, view) + positive utilities after z. Under the negatives-last order
-    the trailing sum is empty for negative z, so their RSU collapses to the
-    exact utility of the one-item extension."""
-    rlu: dict[int, int] = {}
-    rsu: dict[int, int] = {}
+    RLU(z): sum over views containing z of prefix utility + remaining
+    positive utility. RSU(z): sum over views containing z of prefix utility
+    + U(z, view) + positive utilities after z. Negative items get neither:
+    they are never extended by the positive search."""
+    rlu = [0] * cutoff
+    rsu = [0] * cutoff
     for v in pdb.views:
-        rec = v.record
+        items = v.record.items
+        suffix = v.record.pos_suffix
         prefix = v.prefix_utility
-        utils = rec.utilities
-        items = rec.items
-        base = prefix + rec.pos_suffix[v.offset]
-        tail = 0
-        for p in range(len(items) - 1, v.offset - 1, -1):
-            u = utils[p]
+        offset = v.offset
+        base = prefix + suffix[offset]
+        for p in range(offset, bisect_left(items, cutoff, offset)):
             it = items[p]
-            rsu[it] = rsu.get(it, 0) + prefix + u + tail
-            if u > 0:
-                tail += u
-                rlu[it] = rlu.get(it, 0) + base
+            rsu[it] += prefix + suffix[p]
+            rlu[it] += base
     return rlu, rsu
 
 
-def compute_rsu(pdb: ProjectedDatabase) -> dict[int, int]:
-    """The RSU map of :func:`compute_bounds` (the root needs no RLU)."""
-    return compute_bounds(pdb)[1]
+def compute_rsu(pdb: ProjectedDatabase, cutoff: int) -> list[int]:
+    """The RSU list of :func:`compute_bounds` (the root needs no RLU)."""
+    return compute_bounds(pdb, cutoff)[1]
 
 
-def compute_negative_caps(pdb: ProjectedDatabase) -> dict[int, int]:
-    """Subtree cap for negative extensions: for each item z present in the
-    projection, the sum over views containing z of the positive part of the
-    prefix utility.
+def compute_negative_caps(pdb: ProjectedDatabase, cutoff: int, n: int) -> list[int]:
+    """Subtree cap for negative extensions, indexed by rank (``n`` ranks in
+    all, negatives from ``cutoff`` on): for each negative item z, the sum
+    over views containing z of the positive part of the prefix utility.
 
     Any deeper itemset in the z-subtree keeps the prefix's positive items and
     only adds negative ones over a subset of these views, so its utility can
     never exceed this sum. Unlike a clamped per-view bound, the cap is a plain
     sum of per-view quantities, so it is unchanged by transaction merging."""
-    caps: dict[int, int] = {}
+    caps = [0] * n
     for v in pdb.views:
         items = v.record.items
         base = v.positive_prefix
-        for p in range(v.offset, len(items)):
-            it = items[p]
-            caps[it] = caps.get(it, 0) + base
+        for p in range(bisect_left(items, cutoff, v.offset), len(items)):
+            caps[items[p]] += base
     return caps
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .bounds import (
@@ -100,20 +100,26 @@ class _Search:
     subtree pruning on) one whose bound has fallen below the threshold by
     its turn; :meth:`_enter` merges a child's views and counts them as alive
     until the node leaves it; :meth:`_survivors` keeps the extensions whose
-    bound reaches the threshold. ``eta`` holds the kept negative items; a
-    negative search starts from those whose cap under its positive prefix
-    reaches the threshold.
+    bound reaches the threshold. Bound maps are lists indexed by rank:
+    RLU and RSU cover the ``cutoff`` positive ranks, the negative caps all
+    ``n`` ranks. ``eta`` holds the kept negative items; a negative search
+    starts from those whose cap under its positive prefix reaches the
+    threshold.
     """
 
+    __slots__ = ("store", "config", "stats", "eta", "cutoff", "n", "live_views")
+
     def __init__(self, store: TopKStore, config: MinerConfig, stats: MineStats,
-                 eta: list[int]):
+                 eta: list[int], cutoff: int, n: int):
         self.store = store
         self.config = config
         self.stats = stats
         self.eta = eta
+        self.cutoff = cutoff
+        self.n = n
         self.live_views = 0
 
-    def run(self, root: ProjectedDatabase, primary: list[int], rsu: dict[int, int]) -> None:
+    def run(self, root: ProjectedDatabase, primary: list[int], rsu: list[int]) -> None:
         """Search depth first from the root: resume the top node, push the
         sub-search it yields and pop it once it is exhausted."""
         stack = [self.search_p((), root, primary, rsu)]
@@ -125,7 +131,7 @@ class _Search:
                 stack.append(sub)
 
     def _children(self, alpha: tuple[int, ...], pdb: ProjectedDatabase, candidates: list[int],
-                  bound: dict[int, int]):
+                  bound: list[int]):
         """Yield ``(index, item, itemset, child)`` for each candidate that
         occurs in ``pdb``, in candidate order, after counting and offering
         the child's itemset. With subtree pruning on, a candidate whose
@@ -156,58 +162,64 @@ class _Search:
             self.stats.peak_entries = self.live_views
         return pdb
 
-    def _survivors(self, candidates: list[int], bound: dict[int, int]) -> list[int]:
+    def _survivors(self, candidates: Iterable[int], bound: list[int]) -> list[int]:
         """The candidates whose bound reaches the threshold or, with subtree
-        pruning off, those that occur in the node (have a bound at all)."""
+        pruning off, those that occur in the node. A bound is 0 exactly for
+        an item that does not occur: no utility is zero and each item has one
+        sign, so a positive item's RSU, and a negative item's cap under a
+        non-empty positive prefix, is at least 1 wherever it occurs."""
         if self.config.enable_subtree_pruning:
             mu = self.store.min_util
-            return [w for w in candidates if bound.get(w, 0) >= mu]
-        return [w for w in candidates if w in bound]
+            return [w for w in candidates if bound[w] >= mu]
+        return [w for w in candidates if bound[w] > 0]
 
     def search_p(self, alpha: tuple[int, ...], pdb: ProjectedDatabase, primary: list[int],
-                 rsu: dict[int, int]) -> Iterator[Iterator]:
+                 rsu: list[int]) -> Iterator[Iterator]:
         """Extend ``alpha`` with each positive item of ``primary``, whose RSU
-        in ``pdb`` is ``rsu``. A child's extensions are read off its own RLU
-        map: RLU never grows down the tree and the threshold never falls, so
-        an item the map lacks or rejects was pruned above or does not occur.
-        A child that strictly beats the threshold enters the negative search
-        with the items of ``eta`` that pass its cap map."""
+        list in ``pdb`` is ``rsu``. A child of z takes its extensions from
+        the positive ranks after z whose RLU in the child reaches the
+        threshold: RLU never grows down the tree and the threshold never
+        falls, so an item it rejects was pruned above or does not occur
+        (RLU 0). A child that strictly beats the threshold enters the
+        negative search with the items of ``eta`` that pass its caps."""
         store = self.store
         eta = self.eta
-        for _, _, beta, child in self._children(alpha, pdb, primary, rsu):
+        cutoff = self.cutoff
+        for _, z, beta, child in self._children(alpha, pdb, primary, rsu):
             child = self._enter(child)
             if eta and child.views and child.utility > store.min_util:
-                caps = compute_negative_caps(child)
+                caps = compute_negative_caps(child, cutoff, self.n)
                 neg = self._survivors(eta, caps)
                 if neg:
                     yield self.search_n(beta, child, neg, caps)
                 del caps, neg  # not kept alive through the positive sub-search
             if child.views:
-                rlu, child_rsu = compute_bounds(child)
+                rlu, child_rsu = compute_bounds(child, cutoff)
                 mu = store.min_util
-                # unnamed, so only prim_b stays alive through the sub-search
-                prim_b = self._survivors(sorted(w for w, b in rlu.items() if b >= mu), child_rsu)
+                prim_b = self._survivors([w for w in range(z + 1, cutoff) if rlu[w] >= mu],
+                                         child_rsu)
+                del rlu  # only prim_b and child_rsu stay alive through the sub-search
                 if prim_b:
                     yield self.search_p(beta, child, prim_b, child_rsu)
             self.live_views -= len(child.views)
 
     def search_n(self, beta: tuple[int, ...], pdb: ProjectedDatabase, candidates: list[int],
-                 caps: dict[int, int]) -> Iterator[Iterator]:
+                 caps: list[int]) -> Iterator[Iterator]:
         """Extend ``beta`` with each negative item of ``candidates``, whose
         caps in ``pdb`` are ``caps``. The cap of w is the sum of the positive
         prefix utility over the views holding w; every itemset under
         ``beta + w`` adds only negative utilities over some of those views,
-        so it is worth less. A child holds only negative items ranked after
-        its last one, and its cap map covers exactly those; the cap never
-        grows down the tree, so the map's keys that pass the filter are the
-        surviving later candidates."""
+        so it is worth less. A child of z holds only negative items ranked
+        after z, and the cap never grows down the tree, so the ranks after z
+        whose cap in the child passes the filter are the surviving later
+        candidates."""
         last = len(candidates) - 1
-        for idx, _, beta2, child in self._children(beta, pdb, candidates, caps):
+        for idx, z, beta2, child in self._children(beta, pdb, candidates, caps):
             if idx == last or not child.views:
                 continue
             child = self._enter(child)
-            child_caps = compute_negative_caps(child)
-            nxt = self._survivors(sorted(child_caps), child_caps)
+            child_caps = compute_negative_caps(child, self.cutoff, self.n)
+            nxt = self._survivors(range(z + 1, self.n), child_caps)
             if nxt:
                 yield self.search_n(beta2, child, nxt, child_caps)
             self.live_views -= len(child.views)
@@ -244,11 +256,11 @@ def mine(db: UtilityDatabase, config: MinerConfig) -> MineResult:
     positives = [r for r in kept if r < order.positive_cutoff]
     eta = [r for r in kept if r >= order.positive_cutoff]
 
-    search = _Search(store, config, stats, eta)
+    search = _Search(store, config, stats, eta, order.positive_cutoff, len(order.items))
     root = search._enter(build_root(
         remap_database(db, order, {order.items[r] for r in kept})))
     store.raise_to_kth(_item_and_pair_utilities(summaries, order, root, positives, config.k))
-    rsu = compute_rsu(root)
+    rsu = compute_rsu(root, order.positive_cutoff)
     primary0 = search._survivors(positives, rsu)
     if primary0:
         search.run(root, primary0, rsu)

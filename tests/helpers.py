@@ -60,6 +60,38 @@ def project_on(pdb, z):
     return project(pdb, z, deliver(pdb, {z}).get(z, ()))
 
 
+def reference_bounds(pdb):
+    """(rlu, rsu) as dicts over the items present in ``pdb``, by a plain
+    backward scan of every view suffix with a running positive tail: the
+    reference for :func:`topicmine.bounds.compute_bounds`. Only positive
+    items receive an RLU; RSU is given for every item."""
+    rlu: dict[int, int] = {}
+    rsu: dict[int, int] = {}
+    for v in pdb.views:
+        rec = v.record
+        prefix = v.prefix_utility
+        base = prefix + rec.pos_suffix[v.offset]
+        tail = 0
+        for p in range(len(rec.items) - 1, v.offset - 1, -1):
+            u = rec.utilities[p]
+            it = rec.items[p]
+            rsu[it] = rsu.get(it, 0) + prefix + u + tail
+            if u > 0:
+                tail += u
+                rlu[it] = rlu.get(it, 0) + base
+    return rlu, rsu
+
+
+def reference_negative_caps(pdb):
+    """The positive-prefix cap as a dict over every item present in
+    ``pdb``: the reference for :func:`topicmine.bounds.compute_negative_caps`."""
+    caps: dict[int, int] = {}
+    for v in pdb.views:
+        for it in v.record.items[v.offset:]:
+            caps[it] = caps.get(it, 0) + v.positive_prefix
+    return caps
+
+
 def as_pair_set(pairs):
     return {(frozenset(itemset), utility) for itemset, utility in pairs}
 
@@ -87,9 +119,10 @@ def check_bound_soundness(db: UtilityDatabase) -> int:
     machinery; prefixes and extensions are ranks. At each all-positive
     prefix, RLU(prefix, z) must dominate every supported extension containing
     z, and RSU(prefix, z) the whole supported subtree under prefix+z. For
-    negative z (at any prefix) RSU must equal the exact utility of prefix+z,
-    and the positive-prefix cap that gates deeper negative recursion must
-    dominate the prefix+z subtree. Returns the number of violations.
+    negative z (at any prefix) the projection on z must hold the exact
+    utility of prefix+z, and the positive-prefix cap that gates deeper
+    negative recursion must dominate the prefix+z subtree. Returns the number
+    of violations.
     """
     if not db.transactions:
         return 0
@@ -112,13 +145,15 @@ def check_bound_soundness(db: UtilityDatabase) -> int:
         nonlocal violations
         last = prefix[-1] if prefix else -1
         all_positive = not prefix or prefix[-1] < cutoff
-        rlu, rsu = compute_bounds(pdb)
-        caps = compute_negative_caps(pdb)
+        rlu, rsu = compute_bounds(pdb, cutoff)
+        caps = compute_negative_caps(pdb, cutoff, m)
         best = util.get(as_ids(prefix), NONE) if prefix else NONE
         child_max: dict[int, float] = {}
         child_containing: dict[int, dict[int, float]] = {}
+        child_utility: dict[int, int] = {}
         for z in range(last + 1, m):
             child = project_on(pdb, z)
+            child_utility[z] = child.utility
             if child.support == 0:
                 child_max[z] = NONE
                 child_containing[z] = {}
@@ -136,16 +171,16 @@ def check_bound_soundness(db: UtilityDatabase) -> int:
             containing[z] = top
             z_positive = z < cutoff
             if z_positive and all_positive:
-                if rlu.get(z, 0) < top:
+                if rlu[z] < top:
                     violations += 1
-                if rsu.get(z, 0) < child_max[z]:
+                if rsu[z] < child_max[z]:
                     violations += 1
             elif not z_positive:
                 exact = util.get(as_ids(prefix + (z,)))
                 if exact is not None:
-                    if rsu.get(z) != exact:
+                    if child_utility[z] != exact:
                         violations += 1
-                    if caps.get(z, 0) < child_max[z]:
+                    if caps[z] < child_max[z]:
                         violations += 1
         return best, containing
 

@@ -1,8 +1,20 @@
 import pytest
-from helpers import campaign_db, check_bound_soundness, example_database, project_on
+from helpers import (
+    campaign_db,
+    check_bound_soundness,
+    example_database,
+    project_on,
+    reference_bounds,
+    reference_negative_caps,
+)
 
 from topicmine import compute_item_summaries, parse_spmf
-from topicmine.bounds import compute_bounds, compute_pair_rows, compute_riu
+from topicmine.bounds import (
+    compute_bounds,
+    compute_negative_caps,
+    compute_pair_rows,
+    compute_riu,
+)
 from topicmine.oracle import utility_of
 from topicmine.ordering import (
     build_root,
@@ -13,50 +25,101 @@ from topicmine.ordering import (
 
 
 def rooted(db, ids=None):
-    """The root projection of ``db`` and, when given the fixture's dense ids,
-    the same names mapped to the ranks the projection holds."""
+    """The root projection of ``db``, its first negative rank and, when given
+    the fixture's dense ids, the same names mapped to the ranks the
+    projection holds."""
     order = build_total_order(compute_item_summaries(db))
     root = build_root(remap_database(db, order, db.positive_items | db.negative_items))
-    return root, {name: order.rank[i] for name, i in (ids or {}).items()}
+    ranks = {name: order.rank[i] for name, i in (ids or {}).items()}
+    return root, ranks, order.positive_cutoff
 
 
 class TestRlu:
     def test_root_rlu_is_rtwu_for_positives(self, example_db, ids):
-        root, r = rooted(example_db, ids)
-        rlu, _ = compute_bounds(root)
-        assert rlu == {r["E"]: 62, r["A"]: 87, r["D"]: 144}
+        root, r, cutoff = rooted(example_db, ids)
+        rlu, _ = compute_bounds(root, cutoff)
+        assert dict(enumerate(rlu)) == {r["E"]: 62, r["A"]: 87, r["D"]: 144}
 
     def test_empty_projection(self, example_db, ids):
-        root, r = rooted(example_db, ids)
+        root, r, cutoff = rooted(example_db, ids)
         empty = project_on(project_on(root, r["E"]), r["D"])
-        assert compute_bounds(project_on(empty, r["D"])) == ({}, {})
+        assert compute_bounds(project_on(empty, r["D"]), cutoff) == ([0] * cutoff, [0] * cutoff)
 
     def test_after_projecting_a(self, example_db, ids):
-        root, r = rooted(example_db, ids)
-        rlu, _ = compute_bounds(project_on(root, r["A"]))
+        root, r, cutoff = rooted(example_db, ids)
+        rlu, _ = compute_bounds(project_on(root, r["A"]), cutoff)
         assert rlu[r["D"]] == 62  # (5+12) + (15+30)
 
 
 class TestRsu:
     def test_after_projecting_a(self, example_db, ids):
-        root, r = rooted(example_db, ids)
-        _, rsu = compute_bounds(project_on(root, r["A"]))
+        root, r, cutoff = rooted(example_db, ids)
+        _, rsu = compute_bounds(project_on(root, r["A"]), cutoff)
         assert rsu[r["D"]] == 62
 
     def test_negative_item_rsu_is_exact(self, example_db, ids):
-        root, r = rooted(example_db, ids)
-        _, rsu = compute_bounds(project_on(root, r["D"]))
-        # no positive item follows B, so RSU collapses to U({B, D})
-        assert rsu[r["B"]] == 66
-        assert rsu[r["C"]] == 64
+        root, r, cutoff = rooted(example_db, ids)
+        d = project_on(root, r["D"])
+        _, rsu = compute_bounds(d, cutoff)
+        # negative items get no RSU: it would collapse to the exact utility
+        # of the one-item extension (no positive item follows B or C), which
+        # the projection on the item already holds
+        assert len(rsu) == cutoff <= min(r["B"], r["C"])
+        assert project_on(d, r["B"]).utility == 66  # U({B, D})
+        assert project_on(d, r["C"]).utility == 64  # U({C, D})
 
     def test_rlu_dominates_rsu_for_positives(self, example_db):
-        root, _ = rooted(example_db)
+        root, _, cutoff = rooted(example_db)
         for item in range(example_db.item_count):
-            child = project_on(root, item)
-            rlu, rsu = compute_bounds(child)
-            for z, bound in rlu.items():
-                assert bound >= rsu[z]
+            rlu, rsu = compute_bounds(project_on(root, item), cutoff)
+            for z in range(cutoff):
+                assert rlu[z] >= rsu[z]
+
+
+def nodes_to_depth_two(root, n, enter):
+    """``(prefix, node)`` for the root and every prefix of one or two ranks,
+    each node passed through ``enter`` as the search merges it."""
+    yield (), root
+    for z in range(n):
+        child = enter(project_on(root, z))
+        yield (z,), child
+        for w in range(z + 1, n):
+            yield (z, w), enter(project_on(child, w))
+
+
+class TestArrays:
+    @pytest.mark.parametrize("merged", [False, True], ids=["unmerged", "merged"])
+    def test_scans_match_dict_reference(self, merged):
+        # each scan fills only the ranks of its own sign with the dict
+        # reference's values, and a bound is positive exactly where its item
+        # occurs: always for RLU/RSU, and for the caps under a prefix that
+        # holds a positive item, the only place the search reads them
+        enter = merge_identical if merged else (lambda pdb: pdb)
+        nonzero_caps = shrunk = 0
+        for seed in range(12):
+            for nf in (0.0, 0.3, 0.6):
+                db = campaign_db(seed, nf)
+                root, _, cutoff = rooted(db)
+                n = db.item_count
+                positives, negatives = range(cutoff), range(cutoff, n)
+                root = enter(root)
+                shrunk += len(root.views) < len(db.transactions)
+                for prefix, pdb in nodes_to_depth_two(root, n, enter):
+                    rlu, rsu = compute_bounds(pdb, cutoff)
+                    caps = compute_negative_caps(pdb, cutoff, n)
+                    ref_rlu, ref_rsu = reference_bounds(pdb)
+                    ref_caps = reference_negative_caps(pdb)
+                    assert rlu == [ref_rlu.get(z, 0) for z in positives]
+                    assert rsu == [ref_rsu.get(z, 0) for z in positives]
+                    assert caps == [0] * cutoff + [ref_caps.get(z, 0) for z in negatives]
+                    occurs = {it for v in pdb.views for it in v.record.items[v.offset:]}
+                    assert {z for z in positives if rlu[z] > 0} == occurs & set(positives)
+                    assert {z for z in positives if rsu[z] > 0} == occurs & set(positives)
+                    if prefix and prefix[0] < cutoff:
+                        assert {z for z in negatives if caps[z] > 0} == occurs & set(negatives)
+                        nonzero_caps += any(caps)
+        assert nonzero_caps > 0
+        assert (shrunk > 0) == merged
 
 
 class TestRiu:
@@ -79,7 +142,7 @@ class TestPairRows:
         # positive item ranked first, equal to the oracle's U({a, b})
         db = make_db()
         order = build_total_order(compute_item_summaries(db))
-        root, _ = rooted(db)
+        root, _, _ = rooted(db)
         if merged:
             merged_root = merge_identical(root)
             assert len(merged_root.views) < len(root.views)
@@ -99,7 +162,7 @@ class TestPairRows:
         assert got == expected
 
     def test_rows_only_for_firsts(self, example_db, ids):
-        root, r = rooted(example_db, ids)
+        root, r, _ = rooted(example_db, ids)
         # rows only for the given items, each holding the items ranked after
         # it: E precedes A, so A's row lacks it, and C is last, so its row is empty
         assert [r[n] for n in "EADBC"] == [0, 1, 2, 3, 4]
