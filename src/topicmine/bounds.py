@@ -26,11 +26,9 @@ def compute_bounds(pdb: ProjectedDatabase, cutoff: int) -> tuple[list[int], list
     they are never extended by the positive search."""
     rlu = [0] * cutoff
     rsu = [0] * cutoff
-    for v in pdb.views:
-        items = v.record.items
-        suffix = v.record.pos_suffix
-        prefix = v.prefix_utility
-        offset = v.offset
+    for rec, offset, prefix in zip(pdb.records, pdb.offsets, pdb.prefixes):
+        items = rec.items
+        suffix = rec.pos_suffix
         base = prefix + suffix[offset]
         for p in range(offset, bisect_left(items, cutoff, offset)):
             it = items[p]
@@ -54,10 +52,9 @@ def compute_negative_caps(pdb: ProjectedDatabase, cutoff: int, n: int) -> list[i
     never exceed this sum. Unlike a clamped per-view bound, the cap is a plain
     sum of per-view quantities, so it is unchanged by transaction merging."""
     caps = [0] * n
-    for v in pdb.views:
-        items = v.record.items
-        base = v.positive_prefix
-        for p in range(bisect_left(items, cutoff, v.offset), len(items)):
+    for rec, offset, base in zip(pdb.records, pdb.offsets, pdb.pos_prefixes):
+        items = rec.items
+        for p in range(bisect_left(items, cutoff, offset), len(items)):
             caps[items[p]] += base
     return caps
 
@@ -76,13 +73,15 @@ def compute_pair_rows(
     holding a. One delivery of the root serves every row, and only one row
     is alive at a time."""
     buckets = deliver(root, set(firsts))
+    records = root.records
     for a in sorted(buckets):
         occurrences = buckets.pop(a)
         row: dict[int, int] = {}
         pairs = iter(occurrences)
-        for v, p in zip(pairs, pairs):
-            items = v.record.items
-            utils = v.record.utilities
+        for i, p in zip(pairs, pairs):
+            rec = records[i]
+            items = rec.items
+            utils = rec.utilities
             ua = utils[p]
             for q in range(p + 1, len(items)):
                 b = items[q]

@@ -38,7 +38,7 @@ class InvalidParamsError(DatabaseError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
     """One transaction: parallel item/utility lists plus the cached total.
 

@@ -153,11 +153,11 @@ class _Search:
     def _enter(self, pdb: ProjectedDatabase) -> ProjectedDatabase:
         """Merge the node's views when merging is on and count them as alive;
         the node subtracts them again when it leaves the child."""
-        if self.config.enable_merging and pdb.views:
+        if self.config.enable_merging and pdb.records:
             merged = merge_identical(pdb)
-            self.stats.merges += len(pdb.views) - len(merged.views)
+            self.stats.merges += len(pdb.records) - len(merged.records)
             pdb = merged
-        self.live_views += len(pdb.views)
+        self.live_views += len(pdb.records)
         if self.live_views > self.stats.peak_entries:
             self.stats.peak_entries = self.live_views
         return pdb
@@ -187,13 +187,13 @@ class _Search:
         cutoff = self.cutoff
         for _, z, beta, child in self._children(alpha, pdb, primary, rsu):
             child = self._enter(child)
-            if eta and child.views and child.utility > store.min_util:
+            if eta and child.records and child.utility > store.min_util:
                 caps = compute_negative_caps(child, cutoff, self.n)
                 neg = self._survivors(eta, caps)
                 if neg:
                     yield self.search_n(beta, child, neg, caps)
                 del caps, neg  # not kept alive through the positive sub-search
-            if child.views:
+            if child.records:
                 rlu, child_rsu = compute_bounds(child, cutoff)
                 mu = store.min_util
                 prim_b = self._survivors([w for w in range(z + 1, cutoff) if rlu[w] >= mu],
@@ -201,7 +201,7 @@ class _Search:
                 del rlu  # only prim_b and child_rsu stay alive through the sub-search
                 if prim_b:
                     yield self.search_p(beta, child, prim_b, child_rsu)
-            self.live_views -= len(child.views)
+            self.live_views -= len(child.records)
 
     def search_n(self, beta: tuple[int, ...], pdb: ProjectedDatabase, candidates: list[int],
                  caps: list[int]) -> Iterator[Iterator]:
@@ -215,14 +215,14 @@ class _Search:
         candidates."""
         last = len(candidates) - 1
         for idx, z, beta2, child in self._children(beta, pdb, candidates, caps):
-            if idx == last or not child.views:
+            if idx == last or not child.records:
                 continue
             child = self._enter(child)
             child_caps = compute_negative_caps(child, self.cutoff, self.n)
             nxt = self._survivors(range(z + 1, self.n), child_caps)
             if nxt:
                 yield self.search_n(beta2, child, nxt, child_caps)
-            self.live_views -= len(child.views)
+            self.live_views -= len(child.records)
 
 
 def _item_and_pair_utilities(summaries: list[ItemSummary], order: TotalOrder,

@@ -14,6 +14,10 @@ Children of a search node are built from one pass over its views' suffixes
 view and position holding one of the wanted items, and :func:`project`
 turns one bucket into the child projection. Items that occur in no view get
 no bucket, so no child is built for them.
+
+A projected database keeps its views as parallel lists (record, offset,
+prefix utility, positive prefix), not as one object per view, and a view's
+merge weight lives on its record; a bucket names a view by its index.
 """
 from __future__ import annotations
 
@@ -63,12 +67,14 @@ class Record:
     """Backing storage for projected views: one (possibly merged) transaction.
 
     ``items`` are ranks, ascending. ``pos_suffix[i]`` is the sum of positive
-    utilities at positions >= i (the remaining-utility lookup).
+    utilities at positions >= i (the remaining-utility lookup). ``weight`` is
+    the merge multiplicity: 1 for a source transaction, the sum of the
+    merged records' weights otherwise. Every view of a record shares it.
     """
 
-    __slots__ = ("items", "utilities", "pos_suffix")
+    __slots__ = ("items", "utilities", "pos_suffix", "weight")
 
-    def __init__(self, items, utilities):
+    def __init__(self, items, utilities, weight=1):
         self.items = items
         self.utilities = utilities
         suffix = [0] * (len(items) + 1)
@@ -76,66 +82,64 @@ class Record:
             u = utilities[i]
             suffix[i] = suffix[i + 1] + (u if u > 0 else 0)
         self.pos_suffix = suffix
-
-
-class ProjectedTransaction:
-    """Offset view into a Record: items at positions >= offset extend the
-    current prefix; ``prefix_utility`` is the prefix's utility in this
-    (possibly merged) transaction, ``weight`` its merge multiplicity.
-
-    ``positive_prefix`` keeps only the positive-item part of the prefix
-    utility; it upper-bounds what any negative-extension subtree can still
-    achieve in this transaction and survives merging additively."""
-
-    __slots__ = ("record", "offset", "prefix_utility", "positive_prefix", "weight")
-
-    def __init__(self, record, offset, prefix_utility, positive_prefix, weight):
-        self.record = record
-        self.offset = offset
-        self.prefix_utility = prefix_utility
-        self.positive_prefix = positive_prefix
         self.weight = weight
 
 
 class ProjectedDatabase:
     """A prefix itemset's view set over the remapped parent database.
 
-    ``utility`` is the exact utility of the prefix itemset this projection
-    represents (0 for the root); ``support`` counts supporting source
-    transactions (merge weights included).
+    View ``i`` is stored across four parallel lists, with no object of its
+    own: items of ``records[i]`` at positions >= ``offsets[i]`` extend the
+    current prefix, ``prefixes[i]`` is the prefix's utility in that
+    (possibly merged) transaction, and ``pos_prefixes[i]`` keeps only the
+    positive-item part of it, which upper-bounds what any negative-extension
+    subtree can still achieve there and survives merging additively. Every
+    kept offset lies strictly inside its record. ``utility`` is the exact
+    utility of the prefix itemset this projection represents (0 for the
+    root); ``support`` counts supporting source transactions (merge weights
+    included).
     """
 
-    __slots__ = ("views", "utility", "support")
+    __slots__ = ("records", "offsets", "prefixes", "pos_prefixes", "utility", "support")
 
-    def __init__(self, views, utility=0, support=0):
-        self.views = views
+    def __init__(self, records, offsets, prefixes, pos_prefixes, utility=0, support=0):
+        self.records = records
+        self.offsets = offsets
+        self.prefixes = prefixes
+        self.pos_prefixes = pos_prefixes
         self.utility = utility
         self.support = support
+
+    @property
+    def views(self) -> list[Record]:
+        """One entry per view (its record), for sizing and emptiness tests."""
+        return self.records
 
 
 def build_root(transactions: list[Transaction]) -> ProjectedDatabase:
     """Wrap remapped transactions as the empty-prefix projection."""
-    views = [ProjectedTransaction(Record(t.items, t.utilities), 0, 0, 0, 1)
-             for t in transactions]
-    return ProjectedDatabase(views, 0, len(views))
+    records = [Record(t.items, t.utilities) for t in transactions]
+    n = len(records)
+    return ProjectedDatabase(records, [0] * n, [0] * n, [0] * n, 0, n)
 
 
 def deliver(pdb: ProjectedDatabase, wanted) -> dict[int, list]:
     """One pass over every view's suffix: map each item of ``wanted`` that
     occurs there to its occurrences in view order, as a flat list
-    ``[view, position, view, position, ...]`` (a pair costs two list slots
-    and no tuple). Items that occur nowhere get no entry."""
+    ``[view index, position, view index, position, ...]`` (a pair costs two
+    list slots and no tuple). Items that occur nowhere get no entry."""
     buckets: dict[int, list] = {}
-    for v in pdb.views:
-        items = v.record.items
-        for p in range(v.offset, len(items)):
+    offsets = pdb.offsets
+    for i, rec in enumerate(pdb.records):
+        items = rec.items
+        for p in range(offsets[i], len(items)):
             item = items[p]
             if item in wanted:
                 bucket = buckets.get(item)
                 if bucket is None:
-                    buckets[item] = [v, p]
+                    buckets[item] = [i, p]
                 else:
-                    bucket += (v, p)
+                    bucket += (i, p)
     return buckets
 
 
@@ -147,20 +151,28 @@ def project(pdb: ProjectedDatabase, x: int, occurrences) -> ProjectedDatabase:
     remaining suffix is empty still contribute to the new prefix's utility
     and support but are dropped from the result.
     """
-    views = []
+    records = pdb.records
+    prefixes = pdb.prefixes
+    pos_prefixes = pdb.pos_prefixes
+    out_records = []
+    out_offsets = []
+    out_prefixes = []
+    out_pos = []
     utility = 0
     support = 0
     pairs = iter(occurrences)
-    for v, pos in zip(pairs, pairs):
-        rec = v.record
+    for i, pos in zip(pairs, pairs):
+        rec = records[i]
         u = rec.utilities[pos]
-        prefix = v.prefix_utility + u
+        prefix = prefixes[i] + u
         utility += prefix
-        support += v.weight
+        support += rec.weight
         if pos + 1 < len(rec.items):
-            pos_prefix = v.positive_prefix + (u if u > 0 else 0)
-            views.append(ProjectedTransaction(rec, pos + 1, prefix, pos_prefix, v.weight))
-    return ProjectedDatabase(views, utility, support)
+            out_records.append(rec)
+            out_offsets.append(pos + 1)
+            out_prefixes.append(prefix)
+            out_pos.append(pos_prefixes[i] + (u if u > 0 else 0))
+    return ProjectedDatabase(out_records, out_offsets, out_prefixes, out_pos, utility, support)
 
 
 def merge_identical(pdb: ProjectedDatabase) -> ProjectedDatabase:
@@ -169,32 +181,53 @@ def merge_identical(pdb: ProjectedDatabase) -> ProjectedDatabase:
     Requires the parent database to be backward-lexicographically sorted so
     identical suffixes are adjacent. Per-item utilities, prefix utilities and
     weights are summed; the summed utilities of one item share its sign.
+    Returns ``pdb`` itself when no two neighbouring views share a suffix.
     """
-    out = []
+    records = pdb.records
+    offsets = pdb.offsets
+    prefixes = pdb.prefixes
+    pos_prefixes = pdb.pos_prefixes
+    n = len(records)
+    out = None  # the four output lists, made at the first merge
     i = 0
-    views = pdb.views
-    n = len(views)
     while i < n:
-        v = views[i]
-        key = v.record.items[v.offset:]
+        items = records[i].items
+        offset = offsets[i]
+        length = len(items) - offset
+        key = None
         j = i + 1
-        while j < n and views[j].record.items[views[j].offset:] == key:
+        while j < n:
+            other = records[j].items
+            if len(other) - offsets[j] != length:
+                break
+            if key is None:
+                key = items[offset:]
+            if other[offsets[j]:] != key:
+                break
             j += 1
         if j == i + 1:
-            out.append(v)
+            if out is not None:
+                out[0].append(records[i])
+                out[1].append(offset)
+                out[2].append(prefixes[i])
+                out[3].append(pos_prefixes[i])
         else:
-            utils = [0] * len(key)
-            prefix = 0
-            pos_prefix = 0
+            if out is None:
+                out = (records[:i], offsets[:i], prefixes[:i], pos_prefixes[:i])
+            utils = [0] * length
             weight = 0
-            for g in views[i:j]:
-                rec = g.record
-                off = g.offset
-                for p in range(len(key)):
-                    utils[p] += rec.utilities[off + p]
-                prefix += g.prefix_utility
-                pos_prefix += g.positive_prefix
-                weight += g.weight
-            out.append(ProjectedTransaction(Record(key, utils), 0, prefix, pos_prefix, weight))
+            for g in range(i, j):
+                rec = records[g]
+                ru = rec.utilities
+                off = offsets[g]
+                for p in range(length):
+                    utils[p] += ru[off + p]
+                weight += rec.weight
+            out[0].append(Record(key, utils, weight))
+            out[1].append(0)
+            out[2].append(sum(prefixes[i:j]))
+            out[3].append(sum(pos_prefixes[i:j]))
         i = j
-    return ProjectedDatabase(out, pdb.utility, pdb.support)
+    if out is None:
+        return pdb
+    return ProjectedDatabase(*out, pdb.utility, pdb.support)

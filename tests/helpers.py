@@ -60,6 +60,14 @@ def project_on(pdb, z):
     return project(pdb, z, deliver(pdb, {z}).get(z, ()))
 
 
+def view_fields(pdb):
+    """``(record, offset, prefix utility, positive prefix, weight)`` of each
+    view of ``pdb``, in view order."""
+    for rec, offset, prefix, pos_prefix in zip(pdb.records, pdb.offsets, pdb.prefixes,
+                                               pdb.pos_prefixes):
+        yield rec, offset, prefix, pos_prefix, rec.weight
+
+
 def reference_bounds(pdb):
     """(rlu, rsu) as dicts over the items present in ``pdb``, by a plain
     backward scan of every view suffix with a running positive tail: the
@@ -67,12 +75,10 @@ def reference_bounds(pdb):
     items receive an RLU; RSU is given for every item."""
     rlu: dict[int, int] = {}
     rsu: dict[int, int] = {}
-    for v in pdb.views:
-        rec = v.record
-        prefix = v.prefix_utility
-        base = prefix + rec.pos_suffix[v.offset]
+    for rec, offset, prefix, _, _ in view_fields(pdb):
+        base = prefix + rec.pos_suffix[offset]
         tail = 0
-        for p in range(len(rec.items) - 1, v.offset - 1, -1):
+        for p in range(len(rec.items) - 1, offset - 1, -1):
             u = rec.utilities[p]
             it = rec.items[p]
             rsu[it] = rsu.get(it, 0) + prefix + u + tail
@@ -86,10 +92,21 @@ def reference_negative_caps(pdb):
     """The positive-prefix cap as a dict over every item present in
     ``pdb``: the reference for :func:`topicmine.bounds.compute_negative_caps`."""
     caps: dict[int, int] = {}
-    for v in pdb.views:
-        for it in v.record.items[v.offset:]:
-            caps[it] = caps.get(it, 0) + v.positive_prefix
+    for rec, offset, _, pos_prefix, _ in view_fields(pdb):
+        for it in rec.items[offset:]:
+            caps[it] = caps.get(it, 0) + pos_prefix
     return caps
+
+
+def nodes_to_depth_two(root, n, enter):
+    """``(prefix, node)`` for the root and every prefix of one or two ranks,
+    each node passed through ``enter`` as the search merges it."""
+    yield (), root
+    for z in range(n):
+        child = enter(project_on(root, z))
+        yield (z,), child
+        for w in range(z + 1, n):
+            yield (z, w), enter(project_on(child, w))
 
 
 def as_pair_set(pairs):
@@ -195,11 +212,10 @@ def reconstruct_merged(db: UtilityDatabase) -> UtilityDatabase:
     everything = db.positive_items | db.negative_items
     merged = merge_identical(build_root(remap_database(db, order, everything)))
     lines = []
-    for view in merged.views:
-        rec = view.record
+    for rec, offset, _, _, _ in view_fields(merged):
         labelled = sorted(
             (db.labels[order.items[r]], u)
-            for r, u in zip(rec.items[view.offset:], rec.utilities[view.offset:])
+            for r, u in zip(rec.items[offset:], rec.utilities[offset:])
         )
         items = " ".join(str(lab) for lab, _ in labelled)
         utils = " ".join(str(u) for _, u in labelled)

@@ -3,9 +3,11 @@ from helpers import (
     campaign_db,
     check_bound_soundness,
     example_database,
+    nodes_to_depth_two,
     project_on,
     reference_bounds,
     reference_negative_caps,
+    view_fields,
 )
 
 from topicmine import compute_item_summaries, parse_spmf
@@ -76,17 +78,6 @@ class TestRsu:
                 assert rlu[z] >= rsu[z]
 
 
-def nodes_to_depth_two(root, n, enter):
-    """``(prefix, node)`` for the root and every prefix of one or two ranks,
-    each node passed through ``enter`` as the search merges it."""
-    yield (), root
-    for z in range(n):
-        child = enter(project_on(root, z))
-        yield (z,), child
-        for w in range(z + 1, n):
-            yield (z, w), enter(project_on(child, w))
-
-
 class TestArrays:
     @pytest.mark.parametrize("merged", [False, True], ids=["unmerged", "merged"])
     def test_scans_match_dict_reference(self, merged):
@@ -112,7 +103,7 @@ class TestArrays:
                     assert rlu == [ref_rlu.get(z, 0) for z in positives]
                     assert rsu == [ref_rsu.get(z, 0) for z in positives]
                     assert caps == [0] * cutoff + [ref_caps.get(z, 0) for z in negatives]
-                    occurs = {it for v in pdb.views for it in v.record.items[v.offset:]}
+                    occurs = {it for rec, off, *_ in view_fields(pdb) for it in rec.items[off:]}
                     assert {z for z in positives if rlu[z] > 0} == occurs & set(positives)
                     assert {z for z in positives if rsu[z] > 0} == occurs & set(positives)
                     if prefix and prefix[0] < cutoff:

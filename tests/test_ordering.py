@@ -1,8 +1,10 @@
 import pytest
-from helpers import campaign_db, example_database, project_on
+from helpers import campaign_db, example_database, nodes_to_depth_two, project_on, view_fields
 
 from topicmine import compute_item_summaries, generate_synthetic, parse_spmf
+from topicmine.database import Transaction
 from topicmine.ordering import (
+    Record,
     build_root,
     build_total_order,
     deliver,
@@ -87,11 +89,10 @@ class TestProject:
         # empty (E precedes A), so it is accounted then dropped.
         assert child.utility == 25
         assert child.support == 3
-        assert [v.prefix_utility for v in child.views] == [15, 5]
+        assert [prefix for _, _, prefix, _, _ in view_fields(child)] == [15, 5]
         suffixes = [
-            [(v.record.items[p], v.record.utilities[p])
-             for p in range(v.offset, len(v.record.items))]
-            for v in child.views
+            [(rec.items[p], rec.utilities[p]) for p in range(offset, len(rec.items))]
+            for rec, offset, _, _, _ in view_fields(child)
         ]
         assert suffixes == [[(r["D"], 30)], [(r["D"], 12)]]
 
@@ -114,25 +115,21 @@ def scan_project(pdb, z):
     suffix: (utility, support, view fields)."""
     utility = support = 0
     views = []
-    for v in pdb.views:
-        rec = v.record
-        suffix = rec.items[v.offset:]
+    for rec, offset, prefix, pos_prefix, weight in view_fields(pdb):
+        suffix = rec.items[offset:]
         if z not in suffix:
             continue
-        pos = v.offset + suffix.index(z)
+        pos = offset + suffix.index(z)
         u = rec.utilities[pos]
-        utility += v.prefix_utility + u
-        support += v.weight
+        utility += prefix + u
+        support += weight
         if pos + 1 < len(rec.items):
-            views.append((rec, pos + 1, v.prefix_utility + u,
-                          v.positive_prefix + max(u, 0), v.weight))
+            views.append((rec, pos + 1, prefix + u, pos_prefix + max(u, 0), weight))
     return utility, support, views
 
 
 def fields(pdb):
-    views = [(v.record, v.offset, v.prefix_utility, v.positive_prefix, v.weight)
-             for v in pdb.views]
-    return pdb.utility, pdb.support, views
+    return pdb.utility, pdb.support, list(view_fields(pdb))
 
 
 def delivered_children(pdb, wanted, merging):
@@ -171,7 +168,7 @@ class TestDeliver:
             depth2 += delivered_children(child, ranks[z + 1:], merging).values()
         assert depth2
         if merging:
-            assert any(v.weight > 1 for c in depth2 for v in c.views)
+            assert any(rec.weight > 1 for c in depth2 for rec in c.records)
 
     def test_unwanted_and_absent_items_get_no_bucket(self, example_db, ids):
         root, r = example_root(example_db, ids)
@@ -186,27 +183,52 @@ class TestMerge:
         merged = merge_identical(root)
         assert len(root.views) - len(merged.views) == 1
         assert len(merged.views) == 5
-        coalesced = [v for v in merged.views if v.weight == 2]
+        coalesced = [rec for rec in merged.records if rec.weight == 2]
         assert len(coalesced) == 1
-        rec = coalesced[0].record
+        rec = coalesced[0]
         assert dict(zip(rec.items, rec.utilities)) == {
             r["B"]: -6, r["C"]: -8, r["D"]: 72,
         }
 
-    def test_no_identical_suffixes_is_identity(self, ids):
-        db = campaign_db(1, 0.0)
-        # projecting on a fresh random db: merging never increases view count
-        from topicmine import compute_item_summaries
+    def test_no_identical_suffixes_is_identity(self):
+        # distinct transactions, some of equal length: nothing to coalesce,
+        # so merging hands back the projection itself
+        db = parse_spmf("1 2:3:1 2\n1 3:4:1 3\n2 3:5:2 3\n1 2 3:6:1 2 3\n4:4:4")
         order = build_total_order(compute_item_summaries(db))
         root = build_root(remap_database(db, order, db.positive_items | db.negative_items))
-        merged = merge_identical(root)
-        assert len(merged.views) <= len(root.views)
-        # weights are kept, so the views that vanished are the merged pairs
-        assert sum(v.weight for v in merged.views) == len(root.views)
+        assert merge_identical(root) is root
+        assert sum(rec.weight for rec in root.records) == len(db.transactions)
 
     def test_merged_prefix_utilities_sum(self, example_db, ids):
         root, r = example_root(example_db, ids)
         child = merge_identical(project_on(root, r["D"]))
         # T2 and T5 project to the identical {B, C} suffix
-        assert [v.prefix_utility for v in child.views] == [72]
-        assert child.views[0].weight == 2
+        assert [(prefix, weight) for _, _, prefix, _, weight in view_fields(child)] == [(72, 2)]
+
+
+class TestLayout:
+    @pytest.mark.parametrize("merged", [False, True], ids=["unmerged", "merged"])
+    def test_parallel_lists(self, merged):
+        # at every node of depth <= 2 the four view lists have one entry per
+        # view, and every kept view has a non-empty suffix
+        enter = merge_identical if merged else (lambda pdb: pdb)
+        for seed in range(12):
+            for nf in (0.0, 0.3, 0.6):
+                db = campaign_db(seed, nf)
+                order = build_total_order(compute_item_summaries(db))
+                root = enter(build_root(
+                    remap_database(db, order, db.positive_items | db.negative_items)))
+                assert sum(rec.weight for rec in root.records) == len(db.transactions)
+                for _, pdb in nodes_to_depth_two(root, db.item_count, enter):
+                    n = len(pdb.records)
+                    assert len(pdb.offsets) == len(pdb.prefixes) == len(pdb.pos_prefixes) == n
+                    assert len(pdb.views) == n
+                    for rec, offset, _, _, _ in view_fields(pdb):
+                        assert 0 <= offset < len(rec.items)
+
+    def test_slotted_instances(self):
+        # one instance dict per transaction or record would cost more than
+        # the fields it holds
+        t = Transaction(0, [0, 1], [2, 3], 5)
+        assert not hasattr(t, "__dict__")
+        assert not hasattr(Record(t.items, t.utilities), "__dict__")
