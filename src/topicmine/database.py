@@ -40,20 +40,17 @@ class InvalidParamsError(DatabaseError):
 
 @dataclass(slots=True)
 class Transaction:
-    """One transaction: parallel item/utility lists plus the cached total.
+    """One input transaction: parallel item/utility lists plus the cached total.
 
-    ``items`` holds dense item ids in ascending order (processing ranks once
-    rewritten by ``ordering.remap_database``); ``tu`` is always the exact sum
-    of ``utilities``.
+    ``items`` holds dense item ids in ascending order; ``tu`` is always the
+    exact sum of ``utilities``. The miner reads it only while building its
+    own records (``ordering.remap_database``).
     """
 
     tid: int
     items: list[int]
     utilities: list[int]
     tu: int
-
-    def __len__(self) -> int:
-        return len(self.items)
 
 
 @dataclass

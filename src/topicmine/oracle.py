@@ -21,7 +21,6 @@ class TooManyItemsError(ValueError):
 @dataclass
 class OracleResult:
     top_k: list[tuple[tuple[int, ...], int]]
-    all_utilities: dict[frozenset[int], int] | None = None
 
 
 def utility_of(db: UtilityDatabase, itemset: Iterable[int]) -> int:
@@ -83,7 +82,7 @@ def all_supported_utilities(db: UtilityDatabase) -> dict[frozenset[int], int]:
     return utilities
 
 
-def enumerate_topk(db: UtilityDatabase, k: int, keep_all: bool = False) -> OracleResult:
+def enumerate_topk(db: UtilityDatabase, k: int) -> OracleResult:
     """Exhaustive top-k: all supported itemsets with utility >= 1, ranked by
     utility descending then rank-lexicographic ascending, truncated to k."""
     if k < 1:
@@ -95,4 +94,4 @@ def enumerate_topk(db: UtilityDatabase, k: int, keep_all: bool = False) -> Oracl
         key=lambda e: (-e[0], e[1]),
     )
     top = [(tuple(sorted(fs)), u) for u, _, fs in ranked[:k]]
-    return OracleResult(top, utilities if keep_all else None)
+    return OracleResult(top)

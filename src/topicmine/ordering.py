@@ -2,12 +2,13 @@
 
 The processing order puts positive items before negative ones; within each
 sign class items ascend by RTWU with raw-label ties broken ascending.
-:func:`remap_database` renames every item to its rank in that order, so all
-records and views below it hold ranks, and an item precedes another exactly
-when its id is smaller. Every item has one fixed sign and no utility is
-zero, so an occurrence's sign is read from its utility. Transactions are
-sorted backward-lexicographically so that identical projected suffixes end
-up adjacent, which lets merging run as a single linear pass.
+:func:`remap_database` turns the input transactions into the root's
+:class:`Record` arrays in one step, renaming every item to its rank in that
+order, so all records and views below it hold ranks, and an item precedes
+another exactly when its id is smaller. Every item has one fixed sign and no
+utility is zero, so an occurrence's sign is read from its utility. Records
+are sorted backward-lexicographically so that identical projected suffixes
+end up adjacent, which lets merging run as a single linear pass.
 
 Children of a search node are built from one pass over its views' suffixes
 (occurrence delivery, as in LCM ver. 2): :func:`deliver` buckets every
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .database import ItemSummary, Transaction, UtilityDatabase
+from .database import ItemSummary, UtilityDatabase
 
 
 @dataclass(frozen=True)
@@ -45,31 +46,31 @@ def build_total_order(summaries: list[ItemSummary]) -> TotalOrder:
     return TotalOrder(rank, ordered, len(positives))
 
 
-def remap_database(db: UtilityDatabase, order: TotalOrder, keep: set[int]) -> list[Transaction]:
-    """Rewrite the database for mining: drop items (dense ids) outside
-    ``keep``, drop emptied transactions, rename items to their ranks in
-    ascending order, and sort transactions backward-lexicographically
-    (shorter suffix first)."""
+def remap_database(db: UtilityDatabase, order: TotalOrder, keep: set[int]) -> list[Record]:
+    """Build the root's records: drop items (dense ids) outside ``keep``,
+    drop emptied transactions, rename items to their ranks in ascending
+    order, and sort the records backward-lexicographically (shorter suffix
+    first). Rows are sorted before any :class:`Record` exists, so no sort key
+    lives beside the records' ``pos_suffix`` lists."""
     rank = order.rank
-    out = []
+    rows = []
     for t in db.transactions:
         pairs = sorted((rank[i], u) for i, u in zip(t.items, t.utilities) if i in keep)
-        if not pairs:
-            continue
-        items = [p[0] for p in pairs]
-        utils = [p[1] for p in pairs]
-        out.append(Transaction(t.tid, items, utils, sum(utils)))
-    out.sort(key=lambda t: t.items[::-1])
-    return out
+        if pairs:
+            rows.append([[p[0] for p in pairs], [p[1] for p in pairs]])
+    rows.sort(key=lambda row: row[0][::-1])
+    return [Record(items, utils) for items, utils in rows]
 
 
 class Record:
     """Backing storage for projected views: one (possibly merged) transaction.
 
-    ``items`` are ranks, ascending. ``pos_suffix[i]`` is the sum of positive
-    utilities at positions >= i (the remaining-utility lookup). ``weight`` is
-    the merge multiplicity: 1 for a source transaction, the sum of the
-    merged records' weights otherwise. Every view of a record shares it.
+    The root's records come from :func:`remap_database`, merged ones from
+    :func:`merge_identical`. ``items`` are ranks, ascending.
+    ``pos_suffix[i]`` is the sum of positive utilities at positions >= i (the
+    remaining-utility lookup). ``weight`` is the merge multiplicity: 1 for a
+    source transaction, the sum of the merged records' weights otherwise.
+    Every view of a record shares it.
     """
 
     __slots__ = ("items", "utilities", "pos_suffix", "weight")
@@ -86,7 +87,7 @@ class Record:
 
 
 class ProjectedDatabase:
-    """A prefix itemset's view set over the remapped parent database.
+    """A prefix itemset's view set over the root's records.
 
     View ``i`` is stored across four parallel lists, with no object of its
     own: items of ``records[i]`` at positions >= ``offsets[i]`` extend the
@@ -116,9 +117,9 @@ class ProjectedDatabase:
         return self.records
 
 
-def build_root(transactions: list[Transaction]) -> ProjectedDatabase:
-    """Wrap remapped transactions as the empty-prefix projection."""
-    records = [Record(t.items, t.utilities) for t in transactions]
+def build_root(records: list[Record]) -> ProjectedDatabase:
+    """Wrap the records of :func:`remap_database` as the empty-prefix
+    projection: every view starts at offset 0 with a zero prefix."""
     n = len(records)
     return ProjectedDatabase(records, [0] * n, [0] * n, [0] * n, 0, n)
 

@@ -37,9 +37,9 @@ class TestEnumerate:
         assert result.top_k == [((0,), 7)]
 
     def test_negative_only_itemsets_excluded(self, example_db):
-        result = enumerate_topk(example_db, 100, keep_all=True)
+        result = enumerate_topk(example_db, 100)
         assert all(u >= 1 for _, u in result.top_k)
-        assert any(u < 1 for u in result.all_utilities.values())
+        assert any(u < 1 for u in all_supported_utilities(example_db).values())
 
     def test_item_cap(self):
         db = generate_synthetic(60, 30, 5, (1, 5), 0.0, 1)

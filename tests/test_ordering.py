@@ -51,15 +51,20 @@ class TestTotalOrder:
         assert order.items == [0, 1, 2]
 
 
+def as_id_pairs(records, order):
+    """Each record's (item id, utility) pairs, as a sorted multiset."""
+    return sorted(sorted((order.items[r], u) for r, u in zip(rec.items, rec.utilities))
+                  for rec in records)
+
+
 class TestRemap:
     def test_running_example_survives_whole(self, example_db):
         rdb, order = remapped_example(example_db)
         assert len(rdb) == 6
-        source = {t.tid: t.items for t in example_db.transactions}
-        for t in rdb:
-            ranks = t.items
-            assert ranks == sorted(ranks)
-            assert sorted(order.items[r] for r in ranks) == source[t.tid]
+        for rec in rdb:
+            assert rec.items == sorted(rec.items)
+        want = sorted(sorted(zip(t.items, t.utilities)) for t in example_db.transactions)
+        assert as_id_pairs(rdb, order) == want
 
     def test_empty_keep_sets(self, example_db):
         order = canonical(example_db)
@@ -77,8 +82,33 @@ class TestRemap:
     def test_dropped_items_recompute_tu(self, example_db, ids):
         order = canonical(example_db)
         rdb = remap_database(example_db, order, {ids["D"]})
-        assert all(t.items == [order.rank[ids["D"]]] for t in rdb)
-        assert sorted(t.tu for t in rdb) == [12, 30, 36, 36]
+        assert all(rec.items == [order.rank[ids["D"]]] for rec in rdb)
+        assert sorted(sum(rec.utilities) for rec in rdb) == [12, 30, 36, 36]
+        assert all(rec.pos_suffix[0] == sum(rec.utilities) for rec in rdb)
+
+    @pytest.mark.parametrize("dropping", [False, True], ids=["keep-all", "keep-some"])
+    def test_root_records(self, dropping):
+        # every record is a source transaction restricted to ``keep``, renamed
+        # to ascending ranks, with weight 1 and its positive tail sums; the
+        # records run in backward-lexicographic order
+        for seed in range(12):
+            for nf in (0.0, 0.3, 0.6):
+                db = campaign_db(seed, nf)
+                order = build_total_order(compute_item_summaries(db))
+                keep = {i for i in range(db.item_count) if not (dropping and i % 3 == 1)}
+                rdb = remap_database(db, order, keep)
+                for rec in rdb:
+                    assert all(a < b for a, b in zip(rec.items, rec.items[1:]))
+                    assert rec.weight == 1
+                    tails = [0]
+                    for u in reversed(rec.utilities):
+                        tails.append(tails[-1] + max(u, 0))
+                    assert rec.pos_suffix == tails[::-1]
+                for before, after in zip(rdb, rdb[1:]):
+                    assert before.items[::-1] <= after.items[::-1]
+                restricted = ([(i, u) for i, u in zip(t.items, t.utilities) if i in keep]
+                              for t in db.transactions)
+                assert as_id_pairs(rdb, order) == sorted(pairs for pairs in restricted if pairs)
 
 
 class TestProject:
