@@ -2,10 +2,12 @@
 exact single-item and pair utilities used for threshold raising.
 
 Per-node bound maps are plain lists indexed by rank, filled by one pass over
-the node's view suffixes (EFIM's utility-bin arrays). Ranks put every
-positive item before every negative one, so each view's suffix splits at the
-first rank of a negative item: the RLU/RSU scan reads only the positions
-before that split and the cap scan only those from it on."""
+the node's view suffixes (EFIM's utility-bin arrays). A positive node's scan
+fills only the bound its search prunes by: RSU with subtree pruning on, RLU
+without it. Ranks put every positive item before every negative one, so
+each view's suffix splits at the first rank of a negative item: the RLU/RSU
+scan reads only the positions before that split and the cap scan only those
+from it on."""
 from __future__ import annotations
 
 from bisect import bisect_left
@@ -15,31 +17,40 @@ from .database import ItemSummary
 from .ordering import ProjectedDatabase, deliver
 
 
-def compute_bounds(pdb: ProjectedDatabase, cutoff: int) -> tuple[list[int], list[int]]:
-    """One scan returning (rlu, rsu), each indexed by positive rank
-    (``cutoff`` is the first negative rank); an item that does not occur in
-    the projection reads 0.
+def compute_bounds(pdb: ProjectedDatabase, cutoff: int, subtree: bool = True) -> list[int]:
+    """One scan filling one bound per positive rank (``cutoff`` is the first
+    negative rank): RSU when ``subtree`` is true, RLU otherwise. An item that
+    does not occur in the projection reads 0.
 
     RLU(z): sum over views containing z of prefix utility + remaining
     positive utility. RSU(z): sum over views containing z of prefix utility
     + U(z, view) + positive utilities after z. Negative items get neither:
-    they are never extended by the positive search."""
-    rlu = [0] * cutoff
-    rsu = [0] * cutoff
-    for rec, offset, prefix in zip(pdb.records, pdb.offsets, pdb.prefixes):
-        items = rec.items
-        suffix = rec.pos_suffix
-        base = prefix + suffix[offset]
-        for p in range(offset, bisect_left(items, cutoff, offset)):
-            it = items[p]
-            rsu[it] += prefix + suffix[p]
-            rlu[it] += base
-    return rlu, rsu
+    they are never extended by the positive search.
+
+    RSU(z) <= RLU(z) in every view, so a search with subtree pruning, which
+    keeps an extension only if both reach the threshold, needs only RSU, and
+    one without it, which keeps an extension if its RLU reaches the threshold
+    and it occurs (RSU > 0, already implied by RLU >= 1), needs only RLU."""
+    bound = [0] * cutoff
+    views = zip(pdb.records, pdb.offsets, pdb.prefixes)
+    if subtree:
+        for rec, offset, prefix in views:
+            items = rec.items
+            suffix = rec.pos_suffix
+            for p in range(offset, bisect_left(items, cutoff, offset)):
+                bound[items[p]] += prefix + suffix[p]
+    else:
+        for rec, offset, prefix in views:
+            items = rec.items
+            base = prefix + rec.pos_suffix[offset]
+            for p in range(offset, bisect_left(items, cutoff, offset)):
+                bound[items[p]] += base
+    return bound
 
 
 def compute_rsu(pdb: ProjectedDatabase, cutoff: int) -> list[int]:
-    """The RSU list of :func:`compute_bounds` (the root needs no RLU)."""
-    return compute_bounds(pdb, cutoff)[1]
+    """:func:`compute_bounds` at the root, where only RSU is read."""
+    return compute_bounds(pdb, cutoff)
 
 
 def compute_negative_caps(pdb: ProjectedDatabase, cutoff: int, n: int) -> list[int]:

@@ -1,23 +1,26 @@
 """Top-k high-utility itemset miner with positive/negative dual search.
 
 :func:`mine` raises the threshold from single-item utilities, prunes the
-database and renames its items to their processing ranks, and builds the
-root. It then raises the threshold again to the k-th largest exact utility
-among the single items and the item pairs that co-occur in the root (the
-CUD strategy of kHMC), before it filters the root's extensions. The search
-is depth-first over ranks and runs in one loop over an explicit stack, so
-it has no depth limit: it extends prefixes with positive items
-(recomputing RLU/RSU filters at every node) and branches into a
-negative-items-only search whenever a prefix strictly beats the current
-threshold. That search starts from the negative items whose positive-prefix
-cap under the prefix reaches the threshold, and every deeper negative node
-is filtered by the same cap. The root, the positive and the negative nodes
-share one lifecycle: build, count and offer each candidate child from one
-delivery of the node's occurrences, merge the child's identical views, and
-keep the extensions whose bound reaches the threshold. Each candidate's
-bound is checked again against the threshold of the moment before it is
-projected. Merging and subtree pruning can be toggled independently to
-reproduce the four ablation variants.
+database and renames its items to their processing ranks, and builds and
+merges the root. It then raises the threshold again to the k-th largest
+exact utility among the single items and the item pairs that co-occur in the
+root (the CUD strategy of kHMC), before it filters the root's extensions.
+The search is depth-first over ranks and runs in one loop over an explicit
+stack, so it has no depth limit: it extends prefixes with positive items
+(filtered at every node by one bound scan: RSU with subtree pruning on, RLU
+without it) and branches into a negative-items-only search whenever a prefix
+strictly beats the current threshold. That search starts from the negative
+items whose positive-prefix cap under the prefix reaches the threshold, and
+every deeper negative node is filtered by the same cap. The root, the
+positive and the negative nodes share one lifecycle: build, count and offer
+each candidate child from one delivery of the node's occurrences, merging
+the child's identical views as it is projected, and keep the extensions
+whose bound can still place an itemset. Each candidate's bound is checked
+again against the threshold of the moment before it is projected; at the
+threshold, ties are decided by the store's tie order, so a subtree that can
+at best tie the k-th itemset and would lose the tie is cut. Merging and
+subtree pruning can be toggled independently to reproduce the four ablation
+variants.
 """
 from __future__ import annotations
 
@@ -96,12 +99,13 @@ class _Search:
     yields its sub-searches, in order, as unstarted generators, and leaves
     the child they searched when resumed. Every node goes through one
     lifecycle: :meth:`_children` delivers the node's occurrences once and
-    builds, counts and offers each candidate that occurs, skipping (with
-    subtree pruning on) one whose bound has fallen below the threshold by
-    its turn; :meth:`_enter` merges a child's views and counts them as alive
-    until the node leaves it; :meth:`_survivors` keeps the extensions whose
-    bound reaches the threshold. Bound maps are lists indexed by rank:
-    RLU and RSU cover the ``cutoff`` positive ranks, the negative caps all
+    builds (merged when merging is on), counts and offers each candidate
+    that occurs, skipping (with subtree pruning on) one whose bound can no
+    longer place an itemset by its turn; :meth:`_enter` counts a child's
+    merged-away views, and its views as alive until the node leaves it;
+    :meth:`_survivors` keeps the extensions whose bound can still place an
+    itemset. Bound maps are lists indexed by rank: the positive bound (RSU
+    or RLU) covers the ``cutoff`` positive ranks, the negative caps all
     ``n`` ranks. ``eta`` holds the kept negative items; a negative search
     starts from those whose cap under its positive prefix reaches the
     threshold.
@@ -134,73 +138,78 @@ class _Search:
                   bound: list[int]):
         """Yield ``(index, item, itemset, child)`` for each candidate that
         occurs in ``pdb``, in candidate order, after counting and offering
-        the child's itemset. With subtree pruning on, a candidate whose
+        the child's itemset. With merging on, each child is merged as it is
+        projected. With subtree pruning on, a candidate is skipped when its
         ``bound`` (RSU at a positive node, the negative cap at a negative
-        one) is below the threshold when its turn comes is skipped."""
+        one) can no longer place an itemset of its subtree by its turn."""
         buckets = deliver(pdb, set(candidates))
+        store = self.store
         prune = self.config.enable_subtree_pruning
+        merge = self.config.enable_merging
         for idx, z in enumerate(candidates):
             occurrences = buckets.pop(z, None)
-            if occurrences is None or (prune and bound[z] < self.store.min_util):
+            if occurrences is None:
                 continue
-            child = project(pdb, z, occurrences)
+            beta = alpha + (z,)
+            if prune and not store.can_place(bound[z], beta):
+                continue
+            child = project(pdb, z, occurrences, merge)
             self.stats.projections += 1
             self.stats.candidates += 1
-            beta = alpha + (z,)
-            self.store.offer(beta, child.utility)
+            store.offer(beta, child.utility)
             yield idx, z, beta, child
 
-    def _enter(self, pdb: ProjectedDatabase) -> ProjectedDatabase:
-        """Merge the node's views when merging is on and count them as alive;
-        the node subtracts them again when it leaves the child."""
-        if self.config.enable_merging and pdb.records:
-            merged = merge_identical(pdb)
-            self.stats.merges += len(pdb.records) - len(merged.records)
-            pdb = merged
+    def _enter(self, pdb: ProjectedDatabase) -> None:
+        """Count the node's merged-away views and its views as alive; the
+        node subtracts the latter again when it leaves the child."""
+        self.stats.merges += pdb.folded
         self.live_views += len(pdb.records)
         if self.live_views > self.stats.peak_entries:
             self.stats.peak_entries = self.live_views
-        return pdb
 
-    def _survivors(self, candidates: Iterable[int], bound: list[int]) -> list[int]:
-        """The candidates whose bound reaches the threshold or, with subtree
-        pruning off, those that occur in the node. A bound is 0 exactly for
-        an item that does not occur: no utility is zero and each item has one
-        sign, so a positive item's RSU, and a negative item's cap under a
-        non-empty positive prefix, is at least 1 wherever it occurs."""
+    def _survivors(self, alpha: tuple[int, ...], candidates: Iterable[int], bound: list[int],
+                   floor: int = 1) -> list[int]:
+        """The candidates w whose bound can still place an itemset of the
+        ``alpha + (w,)`` subtree or, with subtree pruning off, whose bound
+        reaches ``floor``. A bound is 0 exactly for an item that does not
+        occur: no utility is zero and each item has one sign, so a positive
+        item's RSU or RLU, and a negative item's cap under a non-empty
+        positive prefix, is at least 1 wherever it occurs."""
         if self.config.enable_subtree_pruning:
-            mu = self.store.min_util
-            return [w for w in candidates if bound[w] >= mu]
-        return [w for w in candidates if bound[w] > 0]
+            store = self.store
+            mu = store.min_util
+            return [w for w in candidates
+                    if bound[w] >= mu and store.can_place(bound[w], alpha + (w,))]
+        return [w for w in candidates if bound[w] >= floor]
 
     def search_p(self, alpha: tuple[int, ...], pdb: ProjectedDatabase, primary: list[int],
-                 rsu: list[int]) -> Iterator[Iterator]:
-        """Extend ``alpha`` with each positive item of ``primary``, whose RSU
-        list in ``pdb`` is ``rsu``. A child of z takes its extensions from
-        the positive ranks after z whose RLU in the child reaches the
-        threshold: RLU never grows down the tree and the threshold never
-        falls, so an item it rejects was pruned above or does not occur
-        (RLU 0). A child that strictly beats the threshold enters the
-        negative search with the items of ``eta`` that pass its caps."""
+                 bound: list[int]) -> Iterator[Iterator]:
+        """Extend ``alpha`` with each positive item of ``primary``, whose
+        bound list in ``pdb`` is ``bound`` (RSU with subtree pruning on, RLU
+        otherwise). A child of z takes its extensions from the positive ranks
+        after z whose bound in the child passes the filter: neither bound
+        grows down the tree and the threshold never falls, so an item it
+        rejects was pruned above or does not occur (bound 0). A child that
+        strictly beats the threshold enters the negative search with the
+        items of ``eta`` that pass its caps."""
         store = self.store
         eta = self.eta
         cutoff = self.cutoff
-        for _, z, beta, child in self._children(alpha, pdb, primary, rsu):
-            child = self._enter(child)
+        subtree = self.config.enable_subtree_pruning
+        for _, z, beta, child in self._children(alpha, pdb, primary, bound):
+            self._enter(child)
             if eta and child.records and child.utility > store.min_util:
                 caps = compute_negative_caps(child, cutoff, self.n)
-                neg = self._survivors(eta, caps)
+                neg = self._survivors(beta, eta, caps)
                 if neg:
                     yield self.search_n(beta, child, neg, caps)
                 del caps, neg  # not kept alive through the positive sub-search
             if child.records:
-                rlu, child_rsu = compute_bounds(child, cutoff)
-                mu = store.min_util
-                prim_b = self._survivors([w for w in range(z + 1, cutoff) if rlu[w] >= mu],
-                                         child_rsu)
-                del rlu  # only prim_b and child_rsu stay alive through the sub-search
+                child_bound = compute_bounds(child, cutoff, subtree)
+                prim_b = self._survivors(beta, range(z + 1, cutoff), child_bound,
+                                         store.min_util)
                 if prim_b:
-                    yield self.search_p(beta, child, prim_b, child_rsu)
+                    yield self.search_p(beta, child, prim_b, child_bound)
             self.live_views -= len(child.records)
 
     def search_n(self, beta: tuple[int, ...], pdb: ProjectedDatabase, candidates: list[int],
@@ -217,9 +226,9 @@ class _Search:
         for idx, z, beta2, child in self._children(beta, pdb, candidates, caps):
             if idx == last or not child.records:
                 continue
-            child = self._enter(child)
+            self._enter(child)
             child_caps = compute_negative_caps(child, self.cutoff, self.n)
-            nxt = self._survivors(range(z + 1, self.n), child_caps)
+            nxt = self._survivors(beta2, range(z + 1, self.n), child_caps)
             if nxt:
                 yield self.search_n(beta2, child, nxt, child_caps)
             self.live_views -= len(child.records)
@@ -257,11 +266,13 @@ def mine(db: UtilityDatabase, config: MinerConfig) -> MineResult:
     eta = [r for r in kept if r >= order.positive_cutoff]
 
     search = _Search(store, config, stats, eta, order.positive_cutoff, len(order.items))
-    root = search._enter(build_root(
-        remap_database(db, order, {order.items[r] for r in kept})))
+    root = build_root(remap_database(db, order, {order.items[r] for r in kept}))
+    if config.enable_merging:
+        root = merge_identical(root)
+    search._enter(root)
     store.raise_to_kth(_item_and_pair_utilities(summaries, order, root, positives, config.k))
     rsu = compute_rsu(root, order.positive_cutoff)
-    primary0 = search._survivors(positives, rsu)
+    primary0 = search._survivors((), positives, rsu)
     if primary0:
         search.run(root, primary0, rsu)
 

@@ -8,13 +8,17 @@ order, so all records and views below it hold ranks, and an item precedes
 another exactly when its id is smaller. Every item has one fixed sign and no
 utility is zero, so an occurrence's sign is read from its utility. Records
 are sorted backward-lexicographically so that identical projected suffixes
-end up adjacent, which lets merging run as a single linear pass.
+end up adjacent, and they stay so under projection, which lets merging fold
+each view into the previous one as the views are emitted.
 
 Children of a search node are built from one pass over its views' suffixes
 (occurrence delivery, as in LCM ver. 2): :func:`deliver` buckets every
 view and position holding one of the wanted items, and :func:`project`
-turns one bucket into the child projection. Items that occur in no view get
-no bucket, so no child is built for them.
+turns one bucket into the child projection, merging the child's identical
+views as it goes (EFIM's projection and transaction merging in one pass).
+Items that occur in no view get no bucket, so no child is built for them.
+:func:`merge_identical` merges the root's views by the same rule
+(:func:`_fold`).
 
 A projected database keeps its views as parallel lists (record, offset,
 prefix utility, positive prefix), not as one object per view, and a view's
@@ -23,6 +27,7 @@ merge weight lives on its record; a bucket names a view by its index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .database import ItemSummary, UtilityDatabase
 
@@ -66,7 +71,7 @@ class Record:
     """Backing storage for projected views: one (possibly merged) transaction.
 
     The root's records come from :func:`remap_database`, merged ones from
-    :func:`merge_identical`. ``items`` are ranks, ascending.
+    :func:`_fold`. ``items`` are ranks, ascending.
     ``pos_suffix[i]`` is the sum of positive utilities at positions >= i (the
     remaining-utility lookup). ``weight`` is the merge multiplicity: 1 for a
     source transaction, the sum of the merged records' weights otherwise.
@@ -98,18 +103,22 @@ class ProjectedDatabase:
     kept offset lies strictly inside its record. ``utility`` is the exact
     utility of the prefix itemset this projection represents (0 for the
     root); ``support`` counts supporting source transactions (merge weights
-    included).
+    included). ``folded`` counts the views folded into others when the
+    projection was built (:func:`project`, :func:`merge_identical`).
     """
 
-    __slots__ = ("records", "offsets", "prefixes", "pos_prefixes", "utility", "support")
+    __slots__ = ("records", "offsets", "prefixes", "pos_prefixes", "utility", "support",
+                 "folded")
 
-    def __init__(self, records, offsets, prefixes, pos_prefixes, utility=0, support=0):
+    def __init__(self, records, offsets, prefixes, pos_prefixes, utility=0, support=0,
+                 folded=0):
         self.records = records
         self.offsets = offsets
         self.prefixes = prefixes
         self.pos_prefixes = pos_prefixes
         self.utility = utility
         self.support = support
+        self.folded = folded
 
     @property
     def views(self) -> list[Record]:
@@ -144,13 +153,18 @@ def deliver(pdb: ProjectedDatabase, wanted) -> dict[int, list]:
     return buckets
 
 
-def project(pdb: ProjectedDatabase, x: int, occurrences) -> ProjectedDatabase:
+def project(pdb: ProjectedDatabase, x: int, occurrences, merge: bool = False) -> ProjectedDatabase:
     """Project on item x: keep views containing x, advance offsets past x, and
     fold U(x, view) into each prefix utility.
 
     ``occurrences`` is x's bucket from :func:`deliver` on ``pdb``. Views whose
     remaining suffix is empty still contribute to the new prefix's utility
-    and support but are dropped from the result.
+    and support but are dropped from the result. With ``merge`` on, a kept
+    view whose remaining suffix equals the previous kept view's is folded
+    into it (:func:`_fold`): projection keeps the backward-lexicographic
+    order, so identical suffixes arrive next to each other. The result's
+    ``folded`` counts the views folded away; a view folded into no other
+    keeps its parent's record.
     """
     records = pdb.records
     prefixes = pdb.prefixes
@@ -161,6 +175,10 @@ def project(pdb: ProjectedDatabase, x: int, occurrences) -> ProjectedDatabase:
     out_pos = []
     utility = 0
     support = 0
+    folded = 0
+    group = []  # views folded into the last kept one, flat (record, offset)
+    # the last kept view's items, offset, suffix length and, once compared, suffix
+    last = start = length = key = None
     pairs = iter(occurrences)
     for i, pos in zip(pairs, pairs):
         rec = records[i]
@@ -168,67 +186,96 @@ def project(pdb: ProjectedDatabase, x: int, occurrences) -> ProjectedDatabase:
         prefix = prefixes[i] + u
         utility += prefix
         support += rec.weight
-        if pos + 1 < len(rec.items):
+        items = rec.items
+        pos += 1
+        n = len(items) - pos
+        if n:
+            pos_prefix = pos_prefixes[i] + (u if u > 0 else 0)
+            if merge and n == length and items[pos] == last[start]:
+                if key is None:
+                    key = last[start:]
+                if items[pos:] == key:
+                    group += (rec, pos)
+                    out_prefixes[-1] += prefix
+                    out_pos[-1] += pos_prefix
+                    continue
+            if group:
+                folded += _fold(out_records, out_offsets, key, group)
+                group = []
             out_records.append(rec)
-            out_offsets.append(pos + 1)
+            out_offsets.append(pos)
             out_prefixes.append(prefix)
-            out_pos.append(pos_prefixes[i] + (u if u > 0 else 0))
-    return ProjectedDatabase(out_records, out_offsets, out_prefixes, out_pos, utility, support)
+            out_pos.append(pos_prefix)
+            last = items
+            start = pos
+            length = n
+            key = None
+    if group:
+        folded += _fold(out_records, out_offsets, key, group)
+    return ProjectedDatabase(out_records, out_offsets, out_prefixes, out_pos, utility, support,
+                             folded)
+
+
+def _fold(records: list[Record], offsets: list[int], key: list[int], group: list) -> int:
+    """Fold the views of ``group`` (flat record, offset pairs) into the last
+    view of ``records``/``offsets``: each of them has the suffix ``key``, so
+    the last view becomes one record of ``key`` at offset 0 with the
+    utilities and merge weights of all of them summed (the summed utilities
+    of one item share its sign). The caller sums the prefix utilities.
+    Returns the number of views folded away."""
+    rec = records[-1]
+    utils = rec.utilities[offsets[-1]:]
+    weight = rec.weight
+    members = iter(group)
+    for other, offset in zip(members, members):
+        utils[:] = map(add, utils, other.utilities[offset:])  # keeps the list's exact size
+        weight += other.weight
+    records[-1] = Record(key, utils, weight)
+    offsets[-1] = 0
+    return len(group) // 2
 
 
 def merge_identical(pdb: ProjectedDatabase) -> ProjectedDatabase:
-    """Coalesce consecutive views with identical item suffixes.
+    """Coalesce consecutive views with identical item suffixes, as
+    :func:`project` does with ``merge`` on; the root is merged this way.
 
-    Requires the parent database to be backward-lexicographically sorted so
-    identical suffixes are adjacent. Per-item utilities, prefix utilities and
-    weights are summed; the summed utilities of one item share its sign.
-    Returns ``pdb`` itself when no two neighbouring views share a suffix.
+    Requires ``pdb`` to be backward-lexicographically sorted so identical
+    suffixes are adjacent. Returns ``pdb`` itself when no two neighbouring
+    views share a suffix.
     """
-    records = pdb.records
-    offsets = pdb.offsets
-    prefixes = pdb.prefixes
-    pos_prefixes = pdb.pos_prefixes
-    n = len(records)
-    out = None  # the four output lists, made at the first merge
-    i = 0
-    while i < n:
-        items = records[i].items
-        offset = offsets[i]
-        length = len(items) - offset
-        key = None
-        j = i + 1
-        while j < n:
-            other = records[j].items
-            if len(other) - offsets[j] != length:
-                break
+    out_records = []
+    out_offsets = []
+    out_prefixes = []
+    out_pos = []
+    folded = 0
+    group = []
+    last = start = length = key = None
+    for rec, offset, prefix, pos_prefix in zip(pdb.records, pdb.offsets, pdb.prefixes,
+                                               pdb.pos_prefixes):
+        items = rec.items
+        n = len(items) - offset
+        if n == length and items[offset] == last[start]:
             if key is None:
-                key = items[offset:]
-            if other[offsets[j]:] != key:
-                break
-            j += 1
-        if j == i + 1:
-            if out is not None:
-                out[0].append(records[i])
-                out[1].append(offset)
-                out[2].append(prefixes[i])
-                out[3].append(pos_prefixes[i])
-        else:
-            if out is None:
-                out = (records[:i], offsets[:i], prefixes[:i], pos_prefixes[:i])
-            utils = [0] * length
-            weight = 0
-            for g in range(i, j):
-                rec = records[g]
-                ru = rec.utilities
-                off = offsets[g]
-                for p in range(length):
-                    utils[p] += ru[off + p]
-                weight += rec.weight
-            out[0].append(Record(key, utils, weight))
-            out[1].append(0)
-            out[2].append(sum(prefixes[i:j]))
-            out[3].append(sum(pos_prefixes[i:j]))
-        i = j
-    if out is None:
+                key = last[start:]
+            if items[offset:] == key:
+                group += (rec, offset)
+                out_prefixes[-1] += prefix
+                out_pos[-1] += pos_prefix
+                continue
+        if group:
+            folded += _fold(out_records, out_offsets, key, group)
+            group = []
+        out_records.append(rec)
+        out_offsets.append(offset)
+        out_prefixes.append(prefix)
+        out_pos.append(pos_prefix)
+        last = items
+        start = offset
+        length = n
+        key = None
+    if group:
+        folded += _fold(out_records, out_offsets, key, group)
+    if not folded:
         return pdb
-    return ProjectedDatabase(*out, pdb.utility, pdb.support)
+    return ProjectedDatabase(out_records, out_offsets, out_prefixes, out_pos, pdb.utility,
+                             pdb.support, folded)

@@ -71,6 +71,23 @@ class TopKStore:
             self._raise_to(self._heap[0].utility)
         return self.min_util
 
+    def can_place(self, bound: int, prefix: tuple[int, ...]) -> bool:
+        """Whether an itemset that starts with the sorted ``prefix`` and is
+        worth at most ``bound`` can still enter the store.
+
+        No when ``bound`` is below the threshold. No also when the store is
+        full and its worst entry is worth exactly ``bound`` with a sorted
+        itemset at or before ``prefix``: every such itemset is at or after
+        ``prefix``, so at best it ties that entry and loses the tie. The
+        worst entry only improves, so a no never turns into a yes."""
+        if bound < self.min_util:
+            return False
+        heap = self._heap
+        if len(heap) < self.k:
+            return True
+        worst = heap[0]
+        return worst.utility != bound or prefix < worst.itemset
+
     def __len__(self) -> int:
         return len(self._heap)
 

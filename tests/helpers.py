@@ -109,6 +109,22 @@ def nodes_to_depth_two(root, n, enter):
             yield (z, w), enter(project_on(child, w))
 
 
+def campaign_nodes(merged):
+    """``(db, cutoff, prefix, node)`` for the root and every node of one or
+    two ranks of the 36 small campaign databases (seeds 0-11, negative
+    fraction 0 / 0.3 / 0.6); with ``merged``, every node's identical views
+    are merged."""
+    enter = merge_identical if merged else (lambda pdb: pdb)
+    for seed in range(12):
+        for nf in (0.0, 0.3, 0.6):
+            db = campaign_db(seed, nf)
+            order = build_total_order(compute_item_summaries(db))
+            root = enter(build_root(
+                remap_database(db, order, db.positive_items | db.negative_items)))
+            for prefix, pdb in nodes_to_depth_two(root, db.item_count, enter):
+                yield db, order.positive_cutoff, prefix, pdb
+
+
 def as_pair_set(pairs):
     return {(frozenset(itemset), utility) for itemset, utility in pairs}
 
@@ -162,7 +178,7 @@ def check_bound_soundness(db: UtilityDatabase) -> int:
         nonlocal violations
         last = prefix[-1] if prefix else -1
         all_positive = not prefix or prefix[-1] < cutoff
-        rlu, rsu = compute_bounds(pdb, cutoff)
+        rlu, rsu = compute_bounds(pdb, cutoff, False), compute_bounds(pdb, cutoff)
         caps = compute_negative_caps(pdb, cutoff, m)
         best = util.get(as_ids(prefix), NONE) if prefix else NONE
         child_max: dict[int, float] = {}

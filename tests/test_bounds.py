@@ -1,9 +1,9 @@
 import pytest
 from helpers import (
     campaign_db,
+    campaign_nodes,
     check_bound_soundness,
     example_database,
-    nodes_to_depth_two,
     project_on,
     reference_bounds,
     reference_negative_caps,
@@ -39,30 +39,31 @@ def rooted(db, ids=None):
 class TestRlu:
     def test_root_rlu_is_rtwu_for_positives(self, example_db, ids):
         root, r, cutoff = rooted(example_db, ids)
-        rlu, _ = compute_bounds(root, cutoff)
+        rlu = compute_bounds(root, cutoff, False)
         assert dict(enumerate(rlu)) == {r["E"]: 62, r["A"]: 87, r["D"]: 144}
 
     def test_empty_projection(self, example_db, ids):
         root, r, cutoff = rooted(example_db, ids)
         empty = project_on(project_on(root, r["E"]), r["D"])
-        assert compute_bounds(project_on(empty, r["D"]), cutoff) == ([0] * cutoff, [0] * cutoff)
+        for subtree in (False, True):
+            assert compute_bounds(project_on(empty, r["D"]), cutoff, subtree) == [0] * cutoff
 
     def test_after_projecting_a(self, example_db, ids):
         root, r, cutoff = rooted(example_db, ids)
-        rlu, _ = compute_bounds(project_on(root, r["A"]), cutoff)
+        rlu = compute_bounds(project_on(root, r["A"]), cutoff, False)
         assert rlu[r["D"]] == 62  # (5+12) + (15+30)
 
 
 class TestRsu:
     def test_after_projecting_a(self, example_db, ids):
         root, r, cutoff = rooted(example_db, ids)
-        _, rsu = compute_bounds(project_on(root, r["A"]), cutoff)
+        rsu = compute_bounds(project_on(root, r["A"]), cutoff)
         assert rsu[r["D"]] == 62
 
     def test_negative_item_rsu_is_exact(self, example_db, ids):
         root, r, cutoff = rooted(example_db, ids)
         d = project_on(root, r["D"])
-        _, rsu = compute_bounds(d, cutoff)
+        rsu = compute_bounds(d, cutoff)
         # negative items get no RSU: it would collapse to the exact utility
         # of the one-item extension (no positive item follows B or C), which
         # the projection on the item already holds
@@ -73,7 +74,8 @@ class TestRsu:
     def test_rlu_dominates_rsu_for_positives(self, example_db):
         root, _, cutoff = rooted(example_db)
         for item in range(example_db.item_count):
-            rlu, rsu = compute_bounds(project_on(root, item), cutoff)
+            child = project_on(root, item)
+            rlu, rsu = compute_bounds(child, cutoff, False), compute_bounds(child, cutoff)
             for z in range(cutoff):
                 assert rlu[z] >= rsu[z]
 
@@ -85,32 +87,45 @@ class TestArrays:
         # reference's values, and a bound is positive exactly where its item
         # occurs: always for RLU/RSU, and for the caps under a prefix that
         # holds a positive item, the only place the search reads them
-        enter = merge_identical if merged else (lambda pdb: pdb)
         nonzero_caps = shrunk = 0
-        for seed in range(12):
-            for nf in (0.0, 0.3, 0.6):
-                db = campaign_db(seed, nf)
-                root, _, cutoff = rooted(db)
-                n = db.item_count
-                positives, negatives = range(cutoff), range(cutoff, n)
-                root = enter(root)
-                shrunk += len(root.views) < len(db.transactions)
-                for prefix, pdb in nodes_to_depth_two(root, n, enter):
-                    rlu, rsu = compute_bounds(pdb, cutoff)
-                    caps = compute_negative_caps(pdb, cutoff, n)
-                    ref_rlu, ref_rsu = reference_bounds(pdb)
-                    ref_caps = reference_negative_caps(pdb)
-                    assert rlu == [ref_rlu.get(z, 0) for z in positives]
-                    assert rsu == [ref_rsu.get(z, 0) for z in positives]
-                    assert caps == [0] * cutoff + [ref_caps.get(z, 0) for z in negatives]
-                    occurs = {it for rec, off, *_ in view_fields(pdb) for it in rec.items[off:]}
-                    assert {z for z in positives if rlu[z] > 0} == occurs & set(positives)
-                    assert {z for z in positives if rsu[z] > 0} == occurs & set(positives)
-                    if prefix and prefix[0] < cutoff:
-                        assert {z for z in negatives if caps[z] > 0} == occurs & set(negatives)
-                        nonzero_caps += any(caps)
+        for db, cutoff, prefix, pdb in campaign_nodes(merged):
+            n = db.item_count
+            positives, negatives = range(cutoff), range(cutoff, n)
+            if not prefix:
+                shrunk += len(pdb.views) < len(db.transactions)
+            rlu, rsu = compute_bounds(pdb, cutoff, False), compute_bounds(pdb, cutoff)
+            caps = compute_negative_caps(pdb, cutoff, n)
+            ref_rlu, ref_rsu = reference_bounds(pdb)
+            ref_caps = reference_negative_caps(pdb)
+            assert rlu == [ref_rlu.get(z, 0) for z in positives]
+            assert rsu == [ref_rsu.get(z, 0) for z in positives]
+            assert caps == [0] * cutoff + [ref_caps.get(z, 0) for z in negatives]
+            occurs = {it for rec, off, *_ in view_fields(pdb) for it in rec.items[off:]}
+            assert {z for z in positives if rlu[z] > 0} == occurs & set(positives)
+            assert {z for z in positives if rsu[z] > 0} == occurs & set(positives)
+            if prefix and prefix[0] < cutoff:
+                assert {z for z in negatives if caps[z] > 0} == occurs & set(negatives)
+                nonzero_caps += any(caps)
         assert nonzero_caps > 0
         assert (shrunk > 0) == merged
+
+    @pytest.mark.parametrize("merged", [False, True], ids=["unmerged", "merged"])
+    def test_one_bound_decides_each_filter(self, merged):
+        # RSU <= RLU in every view, so for any threshold mu >= 1 the filter
+        # with subtree pruning (RLU >= mu and RSU >= mu) keeps the items with
+        # RSU >= mu, and the one without it (RLU >= mu and the item occurs,
+        # RSU > 0) keeps the items with RLU >= mu
+        checked = 0
+        for _, cutoff, _, pdb in campaign_nodes(merged):
+            rlu, rsu = compute_bounds(pdb, cutoff, False), compute_bounds(pdb, cutoff)
+            positives = range(cutoff)
+            for mu in (set(rlu) | set(rsu)) - {0}:
+                both = {w for w in positives if rlu[w] >= mu and rsu[w] >= mu}
+                assert {w for w in positives if rsu[w] >= mu} == both
+                local = {w for w in positives if rlu[w] >= mu and rsu[w] > 0}
+                assert {w for w in positives if rlu[w] >= mu} == local
+                checked += 1
+        assert checked > 1000
 
 
 class TestRiu:

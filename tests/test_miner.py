@@ -19,6 +19,7 @@ from topicmine import (
     MinerConfig,
     compute_item_summaries,
     enumerate_topk,
+    generate_synthetic,
     mine,
     parse_spmf,
 )
@@ -180,6 +181,19 @@ class TestLongTransactions:
         # only when its parent listed it, the search makes 720,599 candidates
         assert result.stats.candidates <= 2 * n
 
+    @pytest.mark.parametrize("name", ["full", "subtree-only"])
+    def test_ties_at_k_are_cut_by_tie_order(self, name):
+        # the n itemsets of n - 1 items all tie at the third value, 2n - 2.
+        # Once the store is full, every later subtree bounded by 2n - 2
+        # starts after the worst itemset held, so it is cut; without that
+        # cut the search makes about n²/2 candidates
+        n = 1200
+        line = spmf_line(range(1, n + 1), [1] * n)
+        result = mine(parse_spmf(f"{line}\n{line}"), MinerConfig.variant(3, name))
+        assert result.top_k == [(tuple(range(n)), 2 * n), (tuple(range(n - 1)), 2 * n - 2),
+                                (tuple(range(n - 2)) + (n - 1,), 2 * n - 2)]
+        assert result.stats.candidates <= 2 * n
+
     @settings(max_examples=3, deadline=None)
     @given(n_pos=st.integers(1001, 1100), n_neg=st.integers(0, 150),
            seed=st.integers(0, 2 ** 32))
@@ -194,6 +208,30 @@ class TestLongTransactions:
         expected = [(tuple(sorted(lab - 1 for lab in labels[:n_pos])), sum(utils[:n_pos]))]
         for name in ("full", "subtree-only"):
             assert mine(db, MinerConfig.variant(1, name)).top_k == expected, name
+
+
+def test_tie_heavy_campaign_matches_oracle_exactly(monkeypatch):
+    # utilities of 1 or 2 make many itemsets tie at the k-th value, where
+    # subtree pruning cuts by tie order; the results, tie order included,
+    # must still be the oracle's
+    tie_cuts = 0
+
+    class Recording(CheckingTopKStore):
+        def can_place(self, bound, prefix):
+            nonlocal tie_cuts
+            placed = super().can_place(bound, prefix)
+            tie_cuts += bound >= self.min_util and not placed
+            return placed
+
+    monkeypatch.setattr(topicmine.miner, "TopKStore", Recording)
+    for seed in range(30):
+        for nf in (0.0, 0.3, 0.6):
+            db = generate_synthetic(10 + seed % 16, 6 + seed % 5, 3 + seed % 2, (1, 2), nf, seed)
+            ranked = enumerate_topk(db, 40).top_k
+            for k in (1, 2, 3, 5, 8, 13, 40):
+                for name, result in mine_all_variants(db, k).items():
+                    assert result.top_k == ranked[:k], (seed, nf, k, name)
+    assert tie_cuts > 0
 
 
 class TestAblationStats:

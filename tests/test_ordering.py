@@ -1,5 +1,11 @@
 import pytest
-from helpers import campaign_db, example_database, nodes_to_depth_two, project_on, view_fields
+from helpers import (
+    campaign_db,
+    campaign_nodes,
+    example_database,
+    project_on,
+    view_fields,
+)
 
 from topicmine import compute_item_summaries, generate_synthetic, parse_spmf
 from topicmine.database import Transaction
@@ -158,6 +164,13 @@ def scan_project(pdb, z):
     return utility, support, views
 
 
+def contents(pdb):
+    """Everything a projection holds, its records by value."""
+    return pdb.utility, pdb.support, [
+        (rec.items, rec.utilities, rec.pos_suffix, weight, offset, prefix, pos_prefix)
+        for rec, offset, prefix, pos_prefix, weight in view_fields(pdb)]
+
+
 def fields(pdb):
     return pdb.utility, pdb.support, list(view_fields(pdb))
 
@@ -236,25 +249,39 @@ class TestMerge:
         assert [(prefix, weight) for _, _, prefix, _, weight in view_fields(child)] == [(72, 2)]
 
 
+    @pytest.mark.parametrize("merged", [False, True], ids=["unmerged", "merged"])
+    def test_merge_in_project_equals_project_then_merge(self, merged):
+        # projecting with merge on gives, view for view, what merging the
+        # plain projection gives, reports the same number of folded views,
+        # and keeps the parent's records where nothing folds
+        folded = 0
+        for db, _, prefix, pdb in campaign_nodes(merged):
+            last = prefix[-1] if prefix else -1
+            parent_records = {id(rec) for rec in pdb.records}
+            for z, occurrences in deliver(pdb, set(range(last + 1, db.item_count))).items():
+                inline = project(pdb, z, occurrences, True)
+                plain = project(pdb, z, occurrences)
+                after = merge_identical(plain)
+                assert contents(inline) == contents(after)
+                assert inline.folded == after.folded == len(plain.records) - len(inline.records)
+                if not inline.folded:
+                    assert {id(rec) for rec in inline.records} <= parent_records
+                folded += inline.folded
+        assert folded > 0
+
 class TestLayout:
     @pytest.mark.parametrize("merged", [False, True], ids=["unmerged", "merged"])
     def test_parallel_lists(self, merged):
         # at every node of depth <= 2 the four view lists have one entry per
         # view, and every kept view has a non-empty suffix
-        enter = merge_identical if merged else (lambda pdb: pdb)
-        for seed in range(12):
-            for nf in (0.0, 0.3, 0.6):
-                db = campaign_db(seed, nf)
-                order = build_total_order(compute_item_summaries(db))
-                root = enter(build_root(
-                    remap_database(db, order, db.positive_items | db.negative_items)))
-                assert sum(rec.weight for rec in root.records) == len(db.transactions)
-                for _, pdb in nodes_to_depth_two(root, db.item_count, enter):
-                    n = len(pdb.records)
-                    assert len(pdb.offsets) == len(pdb.prefixes) == len(pdb.pos_prefixes) == n
-                    assert len(pdb.views) == n
-                    for rec, offset, _, _, _ in view_fields(pdb):
-                        assert 0 <= offset < len(rec.items)
+        for db, _, prefix, pdb in campaign_nodes(merged):
+            if not prefix:
+                assert sum(rec.weight for rec in pdb.records) == len(db.transactions)
+            n = len(pdb.records)
+            assert len(pdb.offsets) == len(pdb.prefixes) == len(pdb.pos_prefixes) == n
+            assert len(pdb.views) == n
+            for rec, offset, _, _, _ in view_fields(pdb):
+                assert 0 <= offset < len(rec.items)
 
     def test_slotted_instances(self):
         # one instance dict per transaction or record would cost more than

@@ -88,6 +88,33 @@ class TestOffer:
         assert store.history == sorted(store.history)
 
 
+class TestCanPlace:
+    def test_below_threshold_never_places(self):
+        store = TopKStore(3)
+        store.raise_to_kth([9, 8, 7])
+        assert not store.can_place(6, (0,))
+        assert store.can_place(7, (0,))
+
+    def test_store_not_full_places_at_threshold(self):
+        store = TopKStore(2)
+        store.offer((1, 2), 5)
+        assert store.can_place(1, (3,))
+
+    def test_tie_with_worst_entry_places_only_before_it(self):
+        # every itemset that starts with the prefix sorts at or after it, so
+        # at the worst entry's utility it can only win the tie from before
+        store = TopKStore(2)
+        store.offer((0,), 9)
+        store.offer((2, 5), 4)
+        assert store.min_util == 4
+        assert store.can_place(4, (1,))
+        assert store.can_place(4, (2, 4))
+        assert not store.can_place(4, (2, 5))
+        assert not store.can_place(4, (2, 6))
+        assert not store.can_place(4, (3,))
+        assert store.can_place(5, (3,))
+
+
 class TestResults:
     def test_ordering_utility_then_rank(self):
         # the miner offers rank itemsets, so ties fall to the sorted ranks
