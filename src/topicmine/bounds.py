@@ -1,13 +1,20 @@
 """Linear-time upper bounds (RLU / RSU) and negative-extension caps, plus the
 exact single-item and pair utilities used for threshold raising.
 
-Per-node bound maps are plain lists indexed by rank, filled by one pass over
-the node's view suffixes (EFIM's utility-bin arrays). A positive node's scan
+A child's exact utility and bounds are read from its parent's occurrence
+bucket (:func:`topicmine.ordering.deliver`) before the child is built: each
+occurrence ``(view index, position)`` is one view of the child, starting
+after the position with the parent's prefix utility plus the item's. All
+three quantities are sums of per-view terms, and merging only adds views'
+terms together, so they equal the scans of the built child, merged or not,
+and a child that will not be searched is never built. Bound maps are plain
+lists indexed by rank (EFIM's utility-bin arrays). A positive child's scan
 fills only the bound its search prunes by: RSU with subtree pruning on, RLU
 without it. Ranks put every positive item before every negative one, so
 each view's suffix splits at the first rank of a negative item: the RLU/RSU
 scan reads only the positions before that split and the cap scan only those
-from it on."""
+from it on. The root, which has no parent bucket, gets its RSU from one
+scan of its views (:func:`compute_rsu`)."""
 from __future__ import annotations
 
 from bisect import bisect_left
@@ -17,57 +24,91 @@ from .database import ItemSummary
 from .ordering import ProjectedDatabase, deliver
 
 
-def compute_bounds(pdb: ProjectedDatabase, cutoff: int, subtree: bool = True) -> list[int]:
-    """One scan filling one bound per positive rank (``cutoff`` is the first
-    negative rank): RSU when ``subtree`` is true, RLU otherwise. An item that
-    does not occur in the projection reads 0.
+def compute_bounds(pdb: ProjectedDatabase, occurrences, cutoff: int,
+                   subtree: bool = True) -> tuple[int, list[int]]:
+    """``(utility, bound)`` of the child of ``pdb`` that the bucket
+    ``occurrences`` describes: the child's exact utility and one bound per
+    positive rank (``cutoff`` is the first negative rank), RSU when
+    ``subtree`` is true, RLU otherwise. An item that does not occur in the
+    child reads 0.
 
-    RLU(z): sum over views containing z of prefix utility + remaining
-    positive utility. RSU(z): sum over views containing z of prefix utility
-    + U(z, view) + positive utilities after z. Negative items get neither:
-    they are never extended by the positive search.
+    RLU(z): sum over child views containing z of prefix utility + remaining
+    positive utility. RSU(z): sum over child views containing z of prefix
+    utility + U(z, view) + positive utilities after z. Negative items get
+    neither: they are never extended by the positive search.
 
     RSU(z) <= RLU(z) in every view, so a search with subtree pruning, which
     keeps an extension only if both reach the threshold, needs only RSU, and
     one without it, which keeps an extension if its RLU reaches the threshold
     and it occurs (RSU > 0, already implied by RLU >= 1), needs only RLU."""
     bound = [0] * cutoff
-    views = zip(pdb.records, pdb.offsets, pdb.prefixes)
+    utility = 0
+    records = pdb.records
+    prefixes = pdb.prefixes
+    pairs = iter(occurrences)
     if subtree:
-        for rec, offset, prefix in views:
+        for i, p in zip(pairs, pairs):
+            rec = records[i]
             items = rec.items
             suffix = rec.pos_suffix
-            for p in range(offset, bisect_left(items, cutoff, offset)):
-                bound[items[p]] += prefix + suffix[p]
+            prefix = prefixes[i] + rec.utilities[p]
+            utility += prefix
+            p += 1
+            for q in range(p, bisect_left(items, cutoff, p)):
+                bound[items[q]] += prefix + suffix[q]
     else:
-        for rec, offset, prefix in views:
+        for i, p in zip(pairs, pairs):
+            rec = records[i]
             items = rec.items
-            base = prefix + rec.pos_suffix[offset]
-            for p in range(offset, bisect_left(items, cutoff, offset)):
-                bound[items[p]] += base
-    return bound
+            prefix = prefixes[i] + rec.utilities[p]
+            utility += prefix
+            p += 1
+            base = prefix + rec.pos_suffix[p]
+            for q in range(p, bisect_left(items, cutoff, p)):
+                bound[items[q]] += base
+    return utility, bound
 
 
-def compute_rsu(pdb: ProjectedDatabase, cutoff: int) -> list[int]:
-    """:func:`compute_bounds` at the root, where only RSU is read."""
-    return compute_bounds(pdb, cutoff)
+def compute_rsu(root: ProjectedDatabase, cutoff: int) -> list[int]:
+    """RSU of every positive rank at the root, from one scan of its views:
+    the sum over views containing z of U(z, view) + positive utilities after
+    z (the root's prefix utilities are 0)."""
+    rsu = [0] * cutoff
+    for rec, offset in zip(root.records, root.offsets):
+        items = rec.items
+        suffix = rec.pos_suffix
+        for p in range(offset, bisect_left(items, cutoff, offset)):
+            rsu[items[p]] += suffix[p]
+    return rsu
 
 
-def compute_negative_caps(pdb: ProjectedDatabase, cutoff: int, n: int) -> list[int]:
-    """Subtree cap for negative extensions, indexed by rank (``n`` ranks in
-    all, negatives from ``cutoff`` on): for each negative item z, the sum
-    over views containing z of the positive part of the prefix utility.
+def compute_negative_caps(pdb: ProjectedDatabase, occurrences, cutoff: int,
+                          n: int) -> tuple[int, list[int]]:
+    """``(utility, caps)`` of the child of ``pdb`` that the bucket
+    ``occurrences`` describes: the child's exact utility and its subtree cap
+    for negative extensions, indexed by rank (``n`` ranks in all, capped
+    from ``cutoff`` on): for each negative item z, the sum over child views
+    containing z of the positive part of the child's prefix utility.
 
     Any deeper itemset in the z-subtree keeps the prefix's positive items and
     only adds negative ones over a subset of these views, so its utility can
     never exceed this sum. Unlike a clamped per-view bound, the cap is a plain
     sum of per-view quantities, so it is unchanged by transaction merging."""
     caps = [0] * n
-    for rec, offset, base in zip(pdb.records, pdb.offsets, pdb.pos_prefixes):
+    utility = 0
+    records = pdb.records
+    prefixes = pdb.prefixes
+    pos_prefixes = pdb.pos_prefixes
+    pairs = iter(occurrences)
+    for i, p in zip(pairs, pairs):
+        rec = records[i]
         items = rec.items
-        for p in range(bisect_left(items, cutoff, offset), len(items)):
-            caps[items[p]] += base
-    return caps
+        u = rec.utilities[p]
+        utility += prefixes[i] + u
+        base = pos_prefixes[i] + (u if u > 0 else 0)
+        for q in range(bisect_left(items, cutoff, p + 1), len(items)):
+            caps[items[q]] += base
+    return utility, caps
 
 
 def compute_riu(summaries: list[ItemSummary]) -> list[int]:

@@ -12,15 +12,16 @@ without it) and branches into a negative-items-only search whenever a prefix
 strictly beats the current threshold. That search starts from the negative
 items whose positive-prefix cap under the prefix reaches the threshold, and
 every deeper negative node is filtered by the same cap. The root, the
-positive and the negative nodes share one lifecycle: build, count and offer
-each candidate child from one delivery of the node's occurrences, merging
-the child's identical views as it is projected, and keep the extensions
-whose bound can still place an itemset. Each candidate's bound is checked
-again against the threshold of the moment before it is projected; at the
-threshold, ties are decided by the store's tie order, so a subtree that can
-at best tie the k-th itemset and would lose the tie is cut. Merging and
-subtree pruning can be toggled independently to reproduce the four ablation
-variants.
+positive and the negative nodes share one lifecycle: deliver the node's
+occurrences once, then count each candidate child and read its exact
+utility and bounds from its bucket, offer it, and keep the extensions whose
+bound can still place an itemset. A child is built (projected, merging its
+identical views as it goes) only when a sub-search enters it, so a leaf is
+never built. Each candidate's bound is checked again against the threshold
+of the moment before its bucket is scanned; at the threshold, ties are
+decided by the store's tie order, so a subtree that can at best tie the k-th
+itemset and would lose the tie is cut. Merging and subtree pruning can be
+toggled independently to reproduce the four ablation variants.
 """
 from __future__ import annotations
 
@@ -77,10 +78,10 @@ class MinerConfig:
 @dataclass
 class MineStats:
     candidates: int = 0       # itemsets whose exact utility was computed
-    projections: int = 0      # non-empty children built
-    merges: int = 0           # coalesced view pairs
+    projections: int = 0      # children built for a sub-search (leaves are not)
+    merges: int = 0           # views merged away in the root and built children
     runtime_ms: float = 0.0
-    peak_entries: int = 0     # max projected views alive at once
+    peak_entries: int = 0     # max views alive at once in the root and built children
 
 
 @dataclass
@@ -99,13 +100,15 @@ class _Search:
     yields its sub-searches, in order, as unstarted generators, and leaves
     the child they searched when resumed. Every node goes through one
     lifecycle: :meth:`_children` delivers the node's occurrences once and
-    builds (merged when merging is on), counts and offers each candidate
-    that occurs, skipping (with subtree pruning on) one whose bound can no
-    longer place an itemset by its turn; :meth:`_enter` counts a child's
-    merged-away views, and its views as alive until the node leaves it;
+    counts each candidate that occurs, skipping (with subtree pruning on)
+    one whose bound can no longer place an itemset by its turn; the node
+    reads the candidate's utility and bounds from its bucket and offers it;
     :meth:`_survivors` keeps the extensions whose bound can still place an
-    itemset. Bound maps are lists indexed by rank: the positive bound (RSU
-    or RLU) covers the ``cutoff`` positive ranks, the negative caps all
+    itemset; and only a child that a sub-search will enter is built, once,
+    by :meth:`_build` (merged when merging is on), whose :meth:`_enter`
+    counts the child's merged-away views, and its views as alive until the
+    node leaves it. Bound maps are lists indexed by rank: the positive bound
+    (RSU or RLU) covers the ``cutoff`` positive ranks, the negative caps all
     ``n`` ranks. ``eta`` holds the kept negative items; a negative search
     starts from those whose cap under its positive prefix reaches the
     threshold.
@@ -136,16 +139,17 @@ class _Search:
 
     def _children(self, alpha: tuple[int, ...], pdb: ProjectedDatabase, candidates: list[int],
                   bound: list[int]):
-        """Yield ``(index, item, itemset, child)`` for each candidate that
-        occurs in ``pdb``, in candidate order, after counting and offering
-        the child's itemset. With merging on, each child is merged as it is
-        projected. With subtree pruning on, a candidate is skipped when its
-        ``bound`` (RSU at a positive node, the negative cap at a negative
-        one) can no longer place an itemset of its subtree by its turn."""
+        """Yield ``(index, item, itemset, occurrences)`` for each candidate
+        that occurs in ``pdb``, in candidate order, after counting it; the
+        caller reads the child's utility and bounds from ``occurrences`` and
+        builds the child only to search it. With subtree pruning on, a
+        candidate is skipped when its ``bound`` (RSU at a positive node, the
+        negative cap at a negative one) can no longer place an itemset of its
+        subtree by its turn."""
         buckets = deliver(pdb, set(candidates))
         store = self.store
         prune = self.config.enable_subtree_pruning
-        merge = self.config.enable_merging
+        stats = self.stats
         for idx, z in enumerate(candidates):
             occurrences = buckets.pop(z, None)
             if occurrences is None:
@@ -153,11 +157,16 @@ class _Search:
             beta = alpha + (z,)
             if prune and not store.can_place(bound[z], beta):
                 continue
-            child = project(pdb, z, occurrences, merge)
-            self.stats.projections += 1
-            self.stats.candidates += 1
-            store.offer(beta, child.utility)
-            yield idx, z, beta, child
+            stats.candidates += 1
+            yield idx, z, beta, occurrences
+
+    def _build(self, pdb: ProjectedDatabase, z: int, occurrences) -> ProjectedDatabase:
+        """Project ``pdb`` on z (merged when merging is on) for a sub-search
+        and enter the child; the caller leaves it once the search is done."""
+        child = project(pdb, z, occurrences, self.config.enable_merging)
+        self.stats.projections += 1
+        self._enter(child)
+        return child
 
     def _enter(self, pdb: ProjectedDatabase) -> None:
         """Count the node's merged-away views and its views as alive; the
@@ -191,26 +200,30 @@ class _Search:
         grows down the tree and the threshold never falls, so an item it
         rejects was pruned above or does not occur (bound 0). A child that
         strictly beats the threshold enters the negative search with the
-        items of ``eta`` that pass its caps."""
+        items of ``eta`` that pass its caps. The child is built once, on the
+        first sub-search it enters, and never when it enters none."""
         store = self.store
         eta = self.eta
         cutoff = self.cutoff
         subtree = self.config.enable_subtree_pruning
-        for _, z, beta, child in self._children(alpha, pdb, primary, bound):
-            self._enter(child)
-            if eta and child.records and child.utility > store.min_util:
-                caps = compute_negative_caps(child, cutoff, self.n)
+        for _, z, beta, occurrences in self._children(alpha, pdb, primary, bound):
+            utility, child_bound = compute_bounds(pdb, occurrences, cutoff, subtree)
+            store.offer(beta, utility)
+            child = None
+            if eta and utility > store.min_util:
+                _, caps = compute_negative_caps(pdb, occurrences, cutoff, self.n)
                 neg = self._survivors(beta, eta, caps)
                 if neg:
+                    child = self._build(pdb, z, occurrences)
                     yield self.search_n(beta, child, neg, caps)
                 del caps, neg  # not kept alive through the positive sub-search
-            if child.records:
-                child_bound = compute_bounds(child, cutoff, subtree)
-                prim_b = self._survivors(beta, range(z + 1, cutoff), child_bound,
-                                         store.min_util)
-                if prim_b:
-                    yield self.search_p(beta, child, prim_b, child_bound)
-            self.live_views -= len(child.records)
+            prim_b = self._survivors(beta, range(z + 1, cutoff), child_bound, store.min_util)
+            if prim_b:
+                if child is None:
+                    child = self._build(pdb, z, occurrences)
+                yield self.search_p(beta, child, prim_b, child_bound)
+            if child is not None:
+                self.live_views -= len(child.records)
 
     def search_n(self, beta: tuple[int, ...], pdb: ProjectedDatabase, candidates: list[int],
                  caps: list[int]) -> Iterator[Iterator]:
@@ -221,17 +234,21 @@ class _Search:
         so it is worth less. A child of z holds only negative items ranked
         after z, and the cap never grows down the tree, so the ranks after z
         whose cap in the child passes the filter are the surviving later
-        candidates."""
+        candidates; a child is built only when some pass. The last
+        candidate has none, so its scan caps no rank and reads only its
+        utility."""
+        store = self.store
+        n = self.n
         last = len(candidates) - 1
-        for idx, z, beta2, child in self._children(beta, pdb, candidates, caps):
-            if idx == last or not child.records:
-                continue
-            self._enter(child)
-            child_caps = compute_negative_caps(child, self.cutoff, self.n)
-            nxt = self._survivors(beta2, range(z + 1, self.n), child_caps)
+        for idx, z, beta2, occurrences in self._children(beta, pdb, candidates, caps):
+            first = n if idx == last else self.cutoff
+            utility, child_caps = compute_negative_caps(pdb, occurrences, first, n)
+            store.offer(beta2, utility)
+            nxt = self._survivors(beta2, range(z + 1, n), child_caps)
             if nxt:
+                child = self._build(pdb, z, occurrences)
                 yield self.search_n(beta2, child, nxt, child_caps)
-            self.live_views -= len(child.records)
+                self.live_views -= len(child.records)
 
 
 def _item_and_pair_utilities(summaries: list[ItemSummary], order: TotalOrder,

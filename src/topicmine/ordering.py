@@ -11,12 +11,14 @@ are sorted backward-lexicographically so that identical projected suffixes
 end up adjacent, and they stay so under projection, which lets merging fold
 each view into the previous one as the views are emitted.
 
-Children of a search node are built from one pass over its views' suffixes
+Children of a search node come from one pass over its views' suffixes
 (occurrence delivery, as in LCM ver. 2): :func:`deliver` buckets every
-view and position holding one of the wanted items, and :func:`project`
-turns one bucket into the child projection, merging the child's identical
-views as it goes (EFIM's projection and transaction merging in one pass).
-Items that occur in no view get no bucket, so no child is built for them.
+view and position holding one of the wanted items. A child's utility and
+bounds are read from its bucket (:mod:`topicmine.bounds`), and only a child
+that the search enters is built: :func:`project` turns its bucket into the
+child projection, merging the child's identical views as it goes (EFIM's
+projection and transaction merging in one pass). Items that occur in no
+view get no bucket, so they are never candidates.
 :func:`merge_identical` merges the root's views by the same rule
 (:func:`_fold`).
 

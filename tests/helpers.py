@@ -9,7 +9,7 @@ from topicmine import (
     mine,
     parse_spmf,
 )
-from topicmine.bounds import compute_bounds, compute_negative_caps
+from topicmine.bounds import compute_bounds, compute_negative_caps, compute_rsu
 from topicmine.ordering import (
     build_root,
     build_total_order,
@@ -55,9 +55,15 @@ class CheckingTopKStore(TopKStore):
         return super().offer(itemset, utility)
 
 
+def bucket(pdb, z):
+    """The occurrences of z that ``deliver`` finds in ``pdb`` (empty when z
+    does not occur)."""
+    return deliver(pdb, {z}).get(z, ())
+
+
 def project_on(pdb, z):
     """``project(pdb, z)`` on the bucket that ``deliver`` finds for z."""
-    return project(pdb, z, deliver(pdb, {z}).get(z, ()))
+    return project(pdb, z, bucket(pdb, z))
 
 
 def view_fields(pdb):
@@ -71,7 +77,8 @@ def view_fields(pdb):
 def reference_bounds(pdb):
     """(rlu, rsu) as dicts over the items present in ``pdb``, by a plain
     backward scan of every view suffix with a running positive tail: the
-    reference for :func:`topicmine.bounds.compute_bounds`. Only positive
+    reference for :func:`topicmine.bounds.compute_bounds` on the bucket
+    that ``pdb`` was projected from. Only positive
     items receive an RLU; RSU is given for every item."""
     rlu: dict[int, int] = {}
     rsu: dict[int, int] = {}
@@ -90,7 +97,8 @@ def reference_bounds(pdb):
 
 def reference_negative_caps(pdb):
     """The positive-prefix cap as a dict over every item present in
-    ``pdb``: the reference for :func:`topicmine.bounds.compute_negative_caps`."""
+    ``pdb``: the reference for :func:`topicmine.bounds.compute_negative_caps`
+    on the bucket that ``pdb`` was projected from."""
     caps: dict[int, int] = {}
     for rec, offset, _, pos_prefix, _ in view_fields(pdb):
         for it in rec.items[offset:]:
@@ -125,6 +133,16 @@ def campaign_nodes(merged):
                 yield db, order.positive_cutoff, prefix, pdb
 
 
+def campaign_buckets(merged):
+    """``(db, cutoff, prefix, node, z, occurrences)`` for every item z ranked
+    after ``prefix`` that occurs in a node of :func:`campaign_nodes`, with
+    z's bucket in that node."""
+    for db, cutoff, prefix, pdb in campaign_nodes(merged):
+        last = prefix[-1] if prefix else -1
+        for z, occurrences in sorted(deliver(pdb, set(range(last + 1, db.item_count))).items()):
+            yield db, cutoff, prefix, pdb, z, occurrences
+
+
 def as_pair_set(pairs):
     return {(frozenset(itemset), utility) for itemset, utility in pairs}
 
@@ -154,8 +172,10 @@ def check_bound_soundness(db: UtilityDatabase) -> int:
     z, and RSU(prefix, z) the whole supported subtree under prefix+z. For
     negative z (at any prefix) the projection on z must hold the exact
     utility of prefix+z, and the positive-prefix cap that gates deeper
-    negative recursion must dominate the prefix+z subtree. Returns the number
-    of violations.
+    negative recursion must dominate the prefix+z subtree. The bounds of
+    prefix+z are read from z's bucket in the prefix's projection, as the
+    search reads them, and each bucket scan must give the utility the
+    projection on z holds. Returns the number of violations.
     """
     if not db.transactions:
         return 0
@@ -172,26 +192,31 @@ def check_bound_soundness(db: UtilityDatabase) -> int:
     def as_ids(ranks):
         return frozenset(by_rank[r] for r in ranks)
 
-    def dfs(prefix: tuple[int, ...], pdb):
+    def dfs(prefix: tuple[int, ...], pdb, rlu, rsu, caps):
         """Returns (subtree max utility, {z: max utility over subtree itemsets
-        containing z}) over supported itemsets only."""
+        containing z}) over supported itemsets only. ``rlu``, ``rsu`` and
+        ``caps`` are the bound lists of ``pdb``, read from its parent's
+        bucket as the search reads them."""
         nonlocal violations
         last = prefix[-1] if prefix else -1
         all_positive = not prefix or prefix[-1] < cutoff
-        rlu, rsu = compute_bounds(pdb, cutoff, False), compute_bounds(pdb, cutoff)
-        caps = compute_negative_caps(pdb, cutoff, m)
         best = util.get(as_ids(prefix), NONE) if prefix else NONE
         child_max: dict[int, float] = {}
         child_containing: dict[int, dict[int, float]] = {}
         child_utility: dict[int, int] = {}
         for z in range(last + 1, m):
-            child = project_on(pdb, z)
+            occurrences = bucket(pdb, z)
+            child = project(pdb, z, occurrences)
             child_utility[z] = child.utility
             if child.support == 0:
                 child_max[z] = NONE
                 child_containing[z] = {}
                 continue
-            cm, cc = dfs(prefix + (z,), child)
+            scans = (compute_bounds(pdb, occurrences, cutoff, False),
+                     compute_bounds(pdb, occurrences, cutoff),
+                     compute_negative_caps(pdb, occurrences, cutoff, m))
+            violations += sum(utility != child.utility for utility, _ in scans)
+            cm, cc = dfs(prefix + (z,), child, *(bound for _, bound in scans))
             child_max[z] = cm
             child_containing[z] = cc
             if cm > best:
@@ -217,7 +242,10 @@ def check_bound_soundness(db: UtilityDatabase) -> int:
                         violations += 1
         return best, containing
 
-    dfs((), root)
+    # the root has no parent bucket: its RLU is the RTWU the miner filters
+    # by, its RSU one scan of its views, and its caps are 0 (empty prefix)
+    root_rlu = [summaries[by_rank[r]].rtwu for r in range(cutoff)]
+    dfs((), root, root_rlu, compute_rsu(root, cutoff), [0] * m)
     return violations
 
 

@@ -1,5 +1,7 @@
 import pytest
 from helpers import (
+    bucket,
+    campaign_buckets,
     campaign_db,
     campaign_nodes,
     check_bound_soundness,
@@ -16,12 +18,14 @@ from topicmine.bounds import (
     compute_negative_caps,
     compute_pair_rows,
     compute_riu,
+    compute_rsu,
 )
 from topicmine.oracle import utility_of
 from topicmine.ordering import (
     build_root,
     build_total_order,
     merge_identical,
+    project,
     remap_database,
 )
 
@@ -38,44 +42,56 @@ def rooted(db, ids=None):
 
 class TestRlu:
     def test_root_rlu_is_rtwu_for_positives(self, example_db, ids):
+        # the root has no parent bucket: the miner filters its positive
+        # items by their RTWU, which is their RLU at the root
         root, r, cutoff = rooted(example_db, ids)
-        rlu = compute_bounds(root, cutoff, False)
-        assert dict(enumerate(rlu)) == {r["E"]: 62, r["A"]: 87, r["D"]: 144}
+        summaries = compute_item_summaries(example_db)
+        rtwu = {r[name]: summaries[i].rtwu for name, i in ids.items() if r[name] < cutoff}
+        assert rtwu == {r["E"]: 62, r["A"]: 87, r["D"]: 144}
+        rlu, _ = reference_bounds(root)
+        assert {z: rlu[z] for z in range(cutoff)} == rtwu
 
     def test_empty_projection(self, example_db, ids):
         root, r, cutoff = rooted(example_db, ids)
         empty = project_on(project_on(root, r["E"]), r["D"])
+        assert bucket(empty, r["D"]) == ()
         for subtree in (False, True):
-            assert compute_bounds(project_on(empty, r["D"]), cutoff, subtree) == [0] * cutoff
+            assert compute_bounds(empty, (), cutoff, subtree) == (0, [0] * cutoff)
 
     def test_after_projecting_a(self, example_db, ids):
         root, r, cutoff = rooted(example_db, ids)
-        rlu = compute_bounds(project_on(root, r["A"]), cutoff, False)
+        utility, rlu = compute_bounds(root, bucket(root, r["A"]), cutoff, False)
+        assert utility == 25  # U({A}) = 5 + 15 + 5
         assert rlu[r["D"]] == 62  # (5+12) + (15+30)
 
 
 class TestRsu:
     def test_after_projecting_a(self, example_db, ids):
         root, r, cutoff = rooted(example_db, ids)
-        rsu = compute_bounds(project_on(root, r["A"]), cutoff)
+        _, rsu = compute_bounds(root, bucket(root, r["A"]), cutoff)
         assert rsu[r["D"]] == 62
 
     def test_negative_item_rsu_is_exact(self, example_db, ids):
         root, r, cutoff = rooted(example_db, ids)
-        d = project_on(root, r["D"])
-        rsu = compute_bounds(d, cutoff)
+        utility, rsu = compute_bounds(root, bucket(root, r["D"]), cutoff)
         # negative items get no RSU: it would collapse to the exact utility
         # of the one-item extension (no positive item follows B or C), which
-        # the projection on the item already holds
+        # either scan of the item's bucket already reads
+        assert utility == 114
         assert len(rsu) == cutoff <= min(r["B"], r["C"])
-        assert project_on(d, r["B"]).utility == 66  # U({B, D})
-        assert project_on(d, r["C"]).utility == 64  # U({C, D})
+        d = project_on(root, r["D"])
+        n = example_db.item_count
+        assert compute_bounds(d, bucket(d, r["B"]), cutoff)[0] == 66  # U({B, D})
+        assert compute_negative_caps(d, bucket(d, r["C"]), cutoff, n)[0] == 64  # U({C, D})
+        assert project_on(d, r["B"]).utility == 66
+        assert project_on(d, r["C"]).utility == 64
 
     def test_rlu_dominates_rsu_for_positives(self, example_db):
         root, _, cutoff = rooted(example_db)
         for item in range(example_db.item_count):
-            child = project_on(root, item)
-            rlu, rsu = compute_bounds(child, cutoff, False), compute_bounds(child, cutoff)
+            occurrences = bucket(root, item)
+            _, rlu = compute_bounds(root, occurrences, cutoff, False)
+            _, rsu = compute_bounds(root, occurrences, cutoff)
             for z in range(cutoff):
                 assert rlu[z] >= rsu[z]
 
@@ -83,31 +99,60 @@ class TestRsu:
 class TestArrays:
     @pytest.mark.parametrize("merged", [False, True], ids=["unmerged", "merged"])
     def test_scans_match_dict_reference(self, merged):
-        # each scan fills only the ranks of its own sign with the dict
-        # reference's values, and a bound is positive exactly where its item
-        # occurs: always for RLU/RSU, and for the caps under a prefix that
-        # holds a positive item, the only place the search reads them
-        nonzero_caps = shrunk = 0
+        # each bucket scan fills only the ranks of its own sign with the dict
+        # reference's values on the child the search would build, and a
+        # bound is positive exactly where its item occurs in that child:
+        # always for RLU/RSU, and for the caps under a prefix that holds a
+        # positive item, the only place the search reads them
+        nonzero_caps = shrunk = roots = 0
         for db, cutoff, prefix, pdb in campaign_nodes(merged):
-            n = db.item_count
-            positives, negatives = range(cutoff), range(cutoff, n)
             if not prefix:
                 shrunk += len(pdb.views) < len(db.transactions)
-            rlu, rsu = compute_bounds(pdb, cutoff, False), compute_bounds(pdb, cutoff)
-            caps = compute_negative_caps(pdb, cutoff, n)
-            ref_rlu, ref_rsu = reference_bounds(pdb)
-            ref_caps = reference_negative_caps(pdb)
-            assert rlu == [ref_rlu.get(z, 0) for z in positives]
-            assert rsu == [ref_rsu.get(z, 0) for z in positives]
-            assert caps == [0] * cutoff + [ref_caps.get(z, 0) for z in negatives]
-            occurs = {it for rec, off, *_ in view_fields(pdb) for it in rec.items[off:]}
-            assert {z for z in positives if rlu[z] > 0} == occurs & set(positives)
-            assert {z for z in positives if rsu[z] > 0} == occurs & set(positives)
-            if prefix and prefix[0] < cutoff:
-                assert {z for z in negatives if caps[z] > 0} == occurs & set(negatives)
+                _, ref_rsu = reference_bounds(pdb)
+                assert compute_rsu(pdb, cutoff) == [ref_rsu.get(z, 0) for z in range(cutoff)]
+                roots += 1
+        for db, cutoff, prefix, pdb, z, occurrences in campaign_buckets(merged):
+            n = db.item_count
+            positives, negatives = range(cutoff), range(cutoff, n)
+            child = project(pdb, z, occurrences, merged)
+            _, rlu = compute_bounds(pdb, occurrences, cutoff, False)
+            _, rsu = compute_bounds(pdb, occurrences, cutoff)
+            _, caps = compute_negative_caps(pdb, occurrences, cutoff, n)
+            ref_rlu, ref_rsu = reference_bounds(child)
+            ref_caps = reference_negative_caps(child)
+            assert rlu == [ref_rlu.get(w, 0) for w in positives]
+            assert rsu == [ref_rsu.get(w, 0) for w in positives]
+            assert caps == [0] * cutoff + [ref_caps.get(w, 0) for w in negatives]
+            occurs = {it for rec, off, *_ in view_fields(child) for it in rec.items[off:]}
+            assert {w for w in positives if rlu[w] > 0} == occurs & set(positives)
+            assert {w for w in positives if rsu[w] > 0} == occurs & set(positives)
+            if (prefix + (z,))[0] < cutoff:
+                assert {w for w in negatives if caps[w] > 0} == occurs & set(negatives)
                 nonzero_caps += any(caps)
+        assert roots == 36
         assert nonzero_caps > 0
         assert (shrunk > 0) == merged
+
+    @pytest.mark.parametrize("merged", [False, True], ids=["unmerged", "merged"])
+    def test_bucket_scans_equal_built_child(self, merged):
+        # the bucket scans give the utility and bounds of the child built
+        # from the same bucket, whether that child merges its views or not:
+        # every quantity is a sum of per-view terms, which merging adds up
+        folded = negative = 0
+        for db, cutoff, _, pdb, z, occurrences in campaign_buckets(merged):
+            n = db.item_count
+            for merge in (False, True):
+                child = project(pdb, z, occurrences, merge)
+                folded += child.folded
+                ref_rlu, ref_rsu = reference_bounds(child)
+                ref_caps = reference_negative_caps(child)
+                for subtree, ref in ((False, ref_rlu), (True, ref_rsu)):
+                    assert compute_bounds(pdb, occurrences, cutoff, subtree) == (
+                        child.utility, [ref.get(w, 0) for w in range(cutoff)])
+                assert compute_negative_caps(pdb, occurrences, cutoff, n) == (
+                    child.utility, [0] * cutoff + [ref_caps.get(w, 0) for w in range(cutoff, n)])
+            negative += z >= cutoff
+        assert folded > 0 and negative > 0
 
     @pytest.mark.parametrize("merged", [False, True], ids=["unmerged", "merged"])
     def test_one_bound_decides_each_filter(self, merged):
@@ -116,8 +161,9 @@ class TestArrays:
         # RSU >= mu, and the one without it (RLU >= mu and the item occurs,
         # RSU > 0) keeps the items with RLU >= mu
         checked = 0
-        for _, cutoff, _, pdb in campaign_nodes(merged):
-            rlu, rsu = compute_bounds(pdb, cutoff, False), compute_bounds(pdb, cutoff)
+        for _, cutoff, _, pdb, _, occurrences in campaign_buckets(merged):
+            _, rlu = compute_bounds(pdb, occurrences, cutoff, False)
+            _, rsu = compute_bounds(pdb, occurrences, cutoff)
             positives = range(cutoff)
             for mu in (set(rlu) | set(rsu)) - {0}:
                 both = {w for w in positives if rlu[w] >= mu and rsu[w] >= mu}

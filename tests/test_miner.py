@@ -24,7 +24,7 @@ from topicmine import (
     parse_spmf,
 )
 from topicmine.oracle import all_supported_utilities
-from topicmine.ordering import build_total_order
+from topicmine.ordering import build_total_order, project
 
 
 class TestConfig:
@@ -251,11 +251,40 @@ class TestAblationStats:
             assert candidates >= previous
             previous = candidates
 
-    def test_every_projection_is_a_candidate(self, example_db):
-        # children are built only for items that occur in the parent's views
+    def test_every_built_child_is_searched(self, example_db, monkeypatch):
+        # a child is built only for a sub-search that enters it: its utility
+        # and bounds come from the parent's bucket, so no leaf is built, and
+        # neither is the last candidate of a negative node
+        built, entered = [], []
+
+        def projecting(*args):
+            child = project(*args)
+            built.append(child)
+            return child
+
+        def entering(name, search):
+            def wrapper(self, prefix, pdb, *rest):
+                entered.append((name, pdb))
+                return search(self, prefix, pdb, *rest)
+            return wrapper
+
+        monkeypatch.setattr(topicmine.miner, "project", projecting)
+        for name in ("search_p", "search_n"):
+            monkeypatch.setattr(topicmine.miner._Search, name,
+                                entering(name, getattr(topicmine.miner._Search, name)))
+        leaves = negative_searches = 0
         for db in (example_db, campaign_db(4, 0.3), campaign_db(9, 0.6)):
-            for name, result in mine_all_variants(db, 10).items():
-                assert result.stats.projections == result.stats.candidates, name
+            for name in VARIANT_NAMES:
+                built.clear()
+                entered.clear()
+                stats = mine(db, MinerConfig.variant(10, name)).stats
+                assert stats.projections == len(built), name
+                # the root is the one node entered that was not built here
+                _, *searched = entered
+                assert {id(child) for child in built} == {id(pdb) for _, pdb in searched}, name
+                leaves += stats.candidates - stats.projections
+                negative_searches += sum(kind == "search_n" for kind, _ in searched)
+        assert leaves > 0 and negative_searches > 0
 
     def test_merging_variant_counts_merges(self, example_db):
         merged = mine(example_db, MinerConfig.variant(5, "full"))
@@ -267,24 +296,24 @@ class TestAblationStats:
 # Pinned work counters and threshold path of every variant, on the worked
 # example (k=5) and on a seeded database with negative items whose merging
 # variants coalesce views (k=10). A change to the search's bookkeeping must
-# not move them. Per variant: (candidates, projections, merges, peak_entries,
-# final_min_util).
+# not move them. Per variant: (candidates, children built for search, views
+# merged away in them and the root, peak views alive, final_min_util).
 GOLDEN_DATABASES = {
     "example": (example_database, 5),
     "campaign-5": (lambda: campaign_db(5, 0.3), 10),
 }
 COUNTER_GOLDEN = {
     "example": {
-        "full": (8, 8, 2, 9, 58),
-        "merge-only": (8, 8, 2, 9, 58),
-        "subtree-only": (8, 8, 0, 10, 58),
-        "none": (8, 8, 0, 10, 58),
+        "full": (8, 4, 2, 8, 58),
+        "merge-only": (8, 4, 2, 8, 58),
+        "subtree-only": (8, 4, 0, 10, 58),
+        "none": (8, 4, 0, 10, 58),
     },
     "campaign-5": {
-        "full": (35, 35, 9, 27, 54),
-        "merge-only": (51, 51, 12, 27, 54),
-        "subtree-only": (35, 35, 0, 42, 54),
-        "none": (51, 51, 0, 42, 54),
+        "full": (35, 18, 8, 27, 54),
+        "merge-only": (51, 26, 10, 27, 54),
+        "subtree-only": (35, 18, 0, 42, 54),
+        "none": (51, 26, 0, 42, 54),
     },
 }
 HISTORY_GOLDEN = {  # the same for every variant
