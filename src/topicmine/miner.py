@@ -1,27 +1,27 @@
-"""Top-k high-utility itemset miner with positive/negative dual search.
+"""Top-k high-utility itemset miner for positive and negative utilities.
 
 :func:`mine` raises the threshold from single-item utilities, prunes the
 database and renames its items to their processing ranks, and builds and
 merges the root. It then raises the threshold again to the k-th largest
 exact utility among the single items and the item pairs that co-occur in the
 root (the CUD strategy of kHMC), before it filters the root's extensions.
-The search is depth-first over ranks and runs in one loop over an explicit
-stack, so it has no depth limit: it extends prefixes with positive items
-(filtered at every node by one bound scan: RSU with subtree pruning on, RLU
-without it) and branches into a negative-items-only search whenever a prefix
-strictly beats the current threshold. That search starts from the negative
-items whose positive-prefix cap under the prefix reaches the threshold, and
-every deeper negative node is filtered by the same cap. The root, the
-positive and the negative nodes share one lifecycle: deliver the node's
-occurrences once, then count each candidate child and read its exact
-utility and bounds from its bucket, offer it, and keep the extensions whose
-bound can still place an itemset. A child is built (projected, merging its
-identical views as it goes) only when a sub-search enters it, so a leaf is
-never built. Each candidate's bound is checked again against the threshold
-of the moment before its bucket is scanned; at the threshold, ties are
-decided by the store's tie order, so a subtree that can at best tie the k-th
-itemset and would lose the tie is cut. Merging and subtree pruning can be
-toggled independently to reproduce the four ablation variants.
+The search is depth-first over ranks, where every positive item precedes
+every negative one, and runs in one loop over an explicit stack, so it has
+no depth limit. Every node goes through one lifecycle: deliver its
+occurrences once, then count each candidate child, read its exact utility
+and its bound list from its bucket, offer it, and keep the extensions whose
+bound can still place an itemset. A node's bound list holds one bound per
+rank: RSU with subtree pruning on (RLU without it) for the positive ranks,
+and a positive-prefix cap for the negative ranks. A child under a positive
+item is given negative extensions only when it strictly beats the
+threshold; its negative extensions come before its positive ones. A child
+is built (projected, merging its identical views as it goes) only when it
+has an extension, and is then entered by one sub-search, so a leaf is never
+built. Each candidate's bound is checked again against the threshold of the
+moment before its bucket is scanned; at the threshold, ties are decided by
+the store's tie order, so a subtree that can at best tie the k-th itemset
+and would lose the tie is cut. Merging and subtree pruning can be toggled
+independently to reproduce the four ablation variants.
 """
 from __future__ import annotations
 
@@ -96,22 +96,19 @@ class _Search:
     """Per-run mutable search state (single-threaded). Items are ranks.
 
     The search runs in one loop over an explicit stack (:meth:`run`), so its
-    depth is not limited by the interpreter's. Each node is a generator that
-    yields its sub-searches, in order, as unstarted generators, and leaves
-    the child they searched when resumed. Every node goes through one
-    lifecycle: :meth:`_children` delivers the node's occurrences once and
-    counts each candidate that occurs, skipping (with subtree pruning on)
-    one whose bound can no longer place an itemset by its turn; the node
-    reads the candidate's utility and bounds from its bucket and offers it;
-    :meth:`_survivors` keeps the extensions whose bound can still place an
-    itemset; and only a child that a sub-search will enter is built, once,
-    by :meth:`_build` (merged when merging is on), whose :meth:`_enter`
-    counts the child's merged-away views, and its views as alive until the
-    node leaves it. Bound maps are lists indexed by rank: the positive bound
-    (RSU or RLU) covers the ``cutoff`` positive ranks, the negative caps all
-    ``n`` ranks. ``eta`` holds the kept negative items; a negative search
-    starts from those whose cap under its positive prefix reaches the
-    threshold.
+    depth is not limited by the interpreter's. Each node is a
+    :meth:`search` generator that yields one sub-search per built child, as
+    an unstarted generator, and leaves that child when resumed.
+    :meth:`_children` delivers the node's occurrences once and counts each
+    candidate that occurs, skipping (with subtree pruning on) one whose
+    bound can no longer place an itemset by its turn; :meth:`_survivors`
+    keeps the extensions whose bound can still place an itemset; and a
+    child that has some is projected (merged when merging is on), and
+    :meth:`_enter` counts its merged-away views, and its views as alive
+    until the node leaves it. A node's bound list is indexed by rank: RSU
+    or RLU for the ``cutoff`` positive ranks, then the caps of the negative
+    ranks up to ``n`` when the node has any. ``eta`` holds the kept
+    negative items.
     """
 
     __slots__ = ("store", "config", "stats", "eta", "cutoff", "n", "live_views")
@@ -126,10 +123,10 @@ class _Search:
         self.n = n
         self.live_views = 0
 
-    def run(self, root: ProjectedDatabase, primary: list[int], rsu: list[int]) -> None:
+    def run(self, root: ProjectedDatabase, candidates: list[int], rsu: list[int]) -> None:
         """Search depth first from the root: resume the top node, push the
         sub-search it yields and pop it once it is exhausted."""
-        stack = [self.search_p((), root, primary, rsu)]
+        stack = [self.search((), root, candidates, rsu)]
         while stack:
             sub = next(stack[-1], None)
             if sub is None:
@@ -139,18 +136,18 @@ class _Search:
 
     def _children(self, alpha: tuple[int, ...], pdb: ProjectedDatabase, candidates: list[int],
                   bound: list[int]):
-        """Yield ``(index, item, itemset, occurrences)`` for each candidate
-        that occurs in ``pdb``, in candidate order, after counting it; the
-        caller reads the child's utility and bounds from ``occurrences`` and
-        builds the child only to search it. With subtree pruning on, a
-        candidate is skipped when its ``bound`` (RSU at a positive node, the
-        negative cap at a negative one) can no longer place an itemset of its
-        subtree by its turn."""
+        """Yield ``(item, itemset, occurrences)`` for each candidate that
+        occurs in ``pdb``, in candidate order, after counting it; the caller
+        reads the child's utility and bounds from ``occurrences`` and builds
+        the child only to search it. With subtree pruning on, a candidate is
+        skipped when its ``bound`` (RSU for a positive item, the negative cap
+        for a negative one) can no longer place an itemset of its subtree by
+        its turn."""
         buckets = deliver(pdb, set(candidates))
         store = self.store
         prune = self.config.enable_subtree_pruning
         stats = self.stats
-        for idx, z in enumerate(candidates):
+        for z in candidates:
             occurrences = buckets.pop(z, None)
             if occurrences is None:
                 continue
@@ -158,15 +155,7 @@ class _Search:
             if prune and not store.can_place(bound[z], beta):
                 continue
             stats.candidates += 1
-            yield idx, z, beta, occurrences
-
-    def _build(self, pdb: ProjectedDatabase, z: int, occurrences) -> ProjectedDatabase:
-        """Project ``pdb`` on z (merged when merging is on) for a sub-search
-        and enter the child; the caller leaves it once the search is done."""
-        child = project(pdb, z, occurrences, self.config.enable_merging)
-        self.stats.projections += 1
-        self._enter(child)
-        return child
+            yield z, beta, occurrences
 
     def _enter(self, pdb: ProjectedDatabase) -> None:
         """Count the node's merged-away views and its views as alive; the
@@ -191,63 +180,53 @@ class _Search:
                     if bound[w] >= mu and store.can_place(bound[w], alpha + (w,))]
         return [w for w in candidates if bound[w] >= floor]
 
-    def search_p(self, alpha: tuple[int, ...], pdb: ProjectedDatabase, primary: list[int],
-                 bound: list[int]) -> Iterator[Iterator]:
-        """Extend ``alpha`` with each positive item of ``primary``, whose
-        bound list in ``pdb`` is ``bound`` (RSU with subtree pruning on, RLU
-        otherwise). A child of z takes its extensions from the positive ranks
-        after z whose bound in the child passes the filter: neither bound
-        grows down the tree and the threshold never falls, so an item it
-        rejects was pruned above or does not occur (bound 0). A child that
-        strictly beats the threshold enters the negative search with the
-        items of ``eta`` that pass its caps. The child is built once, on the
-        first sub-search it enters, and never when it enters none."""
+    def search(self, alpha: tuple[int, ...], pdb: ProjectedDatabase, candidates: list[int],
+               bound: list[int]) -> Iterator[Iterator]:
+        """Extend ``alpha`` with each item z of ``candidates``, whose bounds
+        in ``pdb`` are ``bound``: RSU (RLU with subtree pruning off) for a
+        positive item, the negative cap for a negative one. No bound grows
+        down the tree and the threshold never falls, so an item that a
+        child's bound rejects was pruned above or does not occur (bound 0).
+
+        A positive z's child takes the items of ``eta`` that pass its caps,
+        when it strictly beats the threshold, and then the positive ranks
+        after z that pass its RSU or RLU filter; its caps fill its bound list
+        from rank ``cutoff`` on. The cap of w is the sum of the positive
+        prefix utility over the views holding w; every itemset under
+        ``beta + w`` adds only negative utilities over some of those views,
+        so it is worth less. A negative z's child holds only negative items
+        ranked after z and takes those that pass its caps. A child is built,
+        and entered by one sub-search, only when its list is non-empty. With
+        subtree pruning off, a positive extension's RLU is compared with the
+        threshold when the list is made, before the child's negative items
+        are searched."""
         store = self.store
         eta = self.eta
         cutoff = self.cutoff
-        subtree = self.config.enable_subtree_pruning
-        for _, z, beta, occurrences in self._children(alpha, pdb, primary, bound):
-            utility, child_bound = compute_bounds(pdb, occurrences, cutoff, subtree)
-            store.offer(beta, utility)
-            child = None
-            if eta and utility > store.min_util:
-                _, caps = compute_negative_caps(pdb, occurrences, cutoff, self.n)
-                neg = self._survivors(beta, eta, caps)
-                if neg:
-                    child = self._build(pdb, z, occurrences)
-                    yield self.search_n(beta, child, neg, caps)
-                del caps, neg  # not kept alive through the positive sub-search
-            prim_b = self._survivors(beta, range(z + 1, cutoff), child_bound, store.min_util)
-            if prim_b:
-                if child is None:
-                    child = self._build(pdb, z, occurrences)
-                yield self.search_p(beta, child, prim_b, child_bound)
-            if child is not None:
-                self.live_views -= len(child.records)
-
-    def search_n(self, beta: tuple[int, ...], pdb: ProjectedDatabase, candidates: list[int],
-                 caps: list[int]) -> Iterator[Iterator]:
-        """Extend ``beta`` with each negative item of ``candidates``, whose
-        caps in ``pdb`` are ``caps``. The cap of w is the sum of the positive
-        prefix utility over the views holding w; every itemset under
-        ``beta + w`` adds only negative utilities over some of those views,
-        so it is worth less. A child of z holds only negative items ranked
-        after z, and the cap never grows down the tree, so the ranks after z
-        whose cap in the child passes the filter are the surviving later
-        candidates; a child is built only when some pass. The last
-        candidate has none, so its scan caps no rank and reads only its
-        utility."""
-        store = self.store
         n = self.n
-        last = len(candidates) - 1
-        for idx, z, beta2, occurrences in self._children(beta, pdb, candidates, caps):
-            first = n if idx == last else self.cutoff
-            utility, child_caps = compute_negative_caps(pdb, occurrences, first, n)
-            store.offer(beta2, utility)
-            nxt = self._survivors(beta2, range(z + 1, n), child_caps)
-            if nxt:
-                child = self._build(pdb, z, occurrences)
-                yield self.search_n(beta2, child, nxt, child_caps)
+        stats = self.stats
+        merge = self.config.enable_merging
+        subtree = self.config.enable_subtree_pruning
+        for z, beta, occurrences in self._children(alpha, pdb, candidates, bound):
+            if z < cutoff:
+                utility, child_bound = compute_bounds(pdb, occurrences, cutoff, subtree)
+                store.offer(beta, utility)
+                extensions = self._survivors(beta, range(z + 1, cutoff), child_bound,
+                                             store.min_util)
+                if eta and utility > store.min_util:
+                    _, caps = compute_negative_caps(pdb, occurrences, cutoff, n)
+                    caps[:cutoff] = child_bound
+                    child_bound = caps
+                    extensions = self._survivors(beta, eta, caps) + extensions
+            else:
+                utility, child_bound = compute_negative_caps(pdb, occurrences, cutoff, n)
+                store.offer(beta, utility)
+                extensions = self._survivors(beta, range(z + 1, n), child_bound)
+            if extensions:
+                child = project(pdb, z, occurrences, merge)
+                stats.projections += 1
+                self._enter(child)
+                yield self.search(beta, child, extensions, child_bound)
                 self.live_views -= len(child.records)
 
 
@@ -289,9 +268,9 @@ def mine(db: UtilityDatabase, config: MinerConfig) -> MineResult:
     search._enter(root)
     store.raise_to_kth(_item_and_pair_utilities(summaries, order, root, positives, config.k))
     rsu = compute_rsu(root, order.positive_cutoff)
-    primary0 = search._survivors((), positives, rsu)
-    if primary0:
-        search.run(root, primary0, rsu)
+    candidates = search._survivors((), positives, rsu)
+    if candidates:
+        search.run(root, candidates, rsu)
 
     top_k = [(tuple(sorted(order.items[r] for r in itemset)), utility)
              for itemset, utility in store.results()]

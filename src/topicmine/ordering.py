@@ -102,23 +102,19 @@ class ProjectedDatabase:
     (possibly merged) transaction, and ``pos_prefixes[i]`` keeps only the
     positive-item part of it, which upper-bounds what any negative-extension
     subtree can still achieve there and survives merging additively. Every
-    kept offset lies strictly inside its record. ``utility`` is the exact
-    utility of the prefix itemset this projection represents (0 for the
-    root); ``support`` counts supporting source transactions (merge weights
-    included). ``folded`` counts the views folded into others when the
-    projection was built (:func:`project`, :func:`merge_identical`).
+    kept offset lies strictly inside its record. ``support`` counts
+    supporting source transactions (merge weights included). ``folded``
+    counts the views folded into others when the projection was built
+    (:func:`project`, :func:`merge_identical`).
     """
 
-    __slots__ = ("records", "offsets", "prefixes", "pos_prefixes", "utility", "support",
-                 "folded")
+    __slots__ = ("records", "offsets", "prefixes", "pos_prefixes", "support", "folded")
 
-    def __init__(self, records, offsets, prefixes, pos_prefixes, utility=0, support=0,
-                 folded=0):
+    def __init__(self, records, offsets, prefixes, pos_prefixes, support=0, folded=0):
         self.records = records
         self.offsets = offsets
         self.prefixes = prefixes
         self.pos_prefixes = pos_prefixes
-        self.utility = utility
         self.support = support
         self.folded = folded
 
@@ -132,7 +128,7 @@ def build_root(records: list[Record]) -> ProjectedDatabase:
     """Wrap the records of :func:`remap_database` as the empty-prefix
     projection: every view starts at offset 0 with a zero prefix."""
     n = len(records)
-    return ProjectedDatabase(records, [0] * n, [0] * n, [0] * n, 0, n)
+    return ProjectedDatabase(records, [0] * n, [0] * n, [0] * n, n)
 
 
 def deliver(pdb: ProjectedDatabase, wanted) -> dict[int, list]:
@@ -160,11 +156,11 @@ def project(pdb: ProjectedDatabase, x: int, occurrences, merge: bool = False) ->
     fold U(x, view) into each prefix utility.
 
     ``occurrences`` is x's bucket from :func:`deliver` on ``pdb``. Views whose
-    remaining suffix is empty still contribute to the new prefix's utility
-    and support but are dropped from the result. With ``merge`` on, a kept
-    view whose remaining suffix equals the previous kept view's is folded
-    into it (:func:`_fold`): projection keeps the backward-lexicographic
-    order, so identical suffixes arrive next to each other. The result's
+    remaining suffix is empty still count toward the new prefix's support
+    but are dropped from the result. With ``merge`` on, a kept view whose
+    remaining suffix equals the previous kept view's is folded into it
+    (:func:`_fold`): projection keeps the backward-lexicographic order, so
+    identical suffixes arrive next to each other. The result's
     ``folded`` counts the views folded away; a view folded into no other
     keeps its parent's record.
     """
@@ -175,7 +171,6 @@ def project(pdb: ProjectedDatabase, x: int, occurrences, merge: bool = False) ->
     out_offsets = []
     out_prefixes = []
     out_pos = []
-    utility = 0
     support = 0
     folded = 0
     group = []  # views folded into the last kept one, flat (record, offset)
@@ -186,7 +181,6 @@ def project(pdb: ProjectedDatabase, x: int, occurrences, merge: bool = False) ->
         rec = records[i]
         u = rec.utilities[pos]
         prefix = prefixes[i] + u
-        utility += prefix
         support += rec.weight
         items = rec.items
         pos += 1
@@ -214,8 +208,7 @@ def project(pdb: ProjectedDatabase, x: int, occurrences, merge: bool = False) ->
             key = None
     if group:
         folded += _fold(out_records, out_offsets, key, group)
-    return ProjectedDatabase(out_records, out_offsets, out_prefixes, out_pos, utility, support,
-                             folded)
+    return ProjectedDatabase(out_records, out_offsets, out_prefixes, out_pos, support, folded)
 
 
 def _fold(records: list[Record], offsets: list[int], key: list[int], group: list) -> int:
@@ -279,5 +272,5 @@ def merge_identical(pdb: ProjectedDatabase) -> ProjectedDatabase:
         folded += _fold(out_records, out_offsets, key, group)
     if not folded:
         return pdb
-    return ProjectedDatabase(out_records, out_offsets, out_prefixes, out_pos, pdb.utility,
-                             pdb.support, folded)
+    return ProjectedDatabase(out_records, out_offsets, out_prefixes, out_pos, pdb.support,
+                             folded)

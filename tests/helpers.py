@@ -143,6 +143,13 @@ def campaign_buckets(merged):
             yield db, cutoff, prefix, pdb, z, occurrences
 
 
+def exact_utility(db, ranks):
+    """The oracle's utility of the itemset of ``ranks`` in ``db``'s
+    processing order (0 when no transaction supports it)."""
+    order = build_total_order(compute_item_summaries(db))
+    return utility_of(db, [order.items[r] for r in ranks])
+
+
 def as_pair_set(pairs):
     return {(frozenset(itemset), utility) for itemset, utility in pairs}
 
@@ -170,12 +177,11 @@ def check_bound_soundness(db: UtilityDatabase) -> int:
     machinery; prefixes and extensions are ranks. At each all-positive
     prefix, RLU(prefix, z) must dominate every supported extension containing
     z, and RSU(prefix, z) the whole supported subtree under prefix+z. For
-    negative z (at any prefix) the projection on z must hold the exact
-    utility of prefix+z, and the positive-prefix cap that gates deeper
+    negative z (at any prefix) the positive-prefix cap that gates deeper
     negative recursion must dominate the prefix+z subtree. The bounds of
     prefix+z are read from z's bucket in the prefix's projection, as the
-    search reads them, and each bucket scan must give the utility the
-    projection on z holds. Returns the number of violations.
+    search reads them, and each bucket scan must give the exact utility of
+    prefix+z. Returns the number of violations.
     """
     if not db.transactions:
         return 0
@@ -203,11 +209,9 @@ def check_bound_soundness(db: UtilityDatabase) -> int:
         best = util.get(as_ids(prefix), NONE) if prefix else NONE
         child_max: dict[int, float] = {}
         child_containing: dict[int, dict[int, float]] = {}
-        child_utility: dict[int, int] = {}
         for z in range(last + 1, m):
             occurrences = bucket(pdb, z)
             child = project(pdb, z, occurrences)
-            child_utility[z] = child.utility
             if child.support == 0:
                 child_max[z] = NONE
                 child_containing[z] = {}
@@ -215,7 +219,8 @@ def check_bound_soundness(db: UtilityDatabase) -> int:
             scans = (compute_bounds(pdb, occurrences, cutoff, False),
                      compute_bounds(pdb, occurrences, cutoff),
                      compute_negative_caps(pdb, occurrences, cutoff, m))
-            violations += sum(utility != child.utility for utility, _ in scans)
+            exact = util[as_ids(prefix + (z,))]
+            violations += sum(utility != exact for utility, _ in scans)
             cm, cc = dfs(prefix + (z,), child, *(bound for _, bound in scans))
             child_max[z] = cm
             child_containing[z] = cc
@@ -233,13 +238,8 @@ def check_bound_soundness(db: UtilityDatabase) -> int:
                     violations += 1
                 if rsu[z] < child_max[z]:
                     violations += 1
-            elif not z_positive:
-                exact = util.get(as_ids(prefix + (z,)))
-                if exact is not None:
-                    if child_utility[z] != exact:
-                        violations += 1
-                    if caps[z] < child_max[z]:
-                        violations += 1
+            elif not z_positive and caps[z] < child_max[z]:
+                violations += 1
         return best, containing
 
     # the root has no parent bucket: its RLU is the RTWU the miner filters

@@ -6,6 +6,7 @@ from helpers import (
     campaign_nodes,
     check_bound_soundness,
     example_database,
+    exact_utility,
     project_on,
     reference_bounds,
     reference_negative_caps,
@@ -83,8 +84,8 @@ class TestRsu:
         n = example_db.item_count
         assert compute_bounds(d, bucket(d, r["B"]), cutoff)[0] == 66  # U({B, D})
         assert compute_negative_caps(d, bucket(d, r["C"]), cutoff, n)[0] == 64  # U({C, D})
-        assert project_on(d, r["B"]).utility == 66
-        assert project_on(d, r["C"]).utility == 64
+        assert utility_of(example_db, [ids["B"], ids["D"]]) == 66
+        assert utility_of(example_db, [ids["C"], ids["D"]]) == 64
 
     def test_rlu_dominates_rsu_for_positives(self, example_db):
         root, _, cutoff = rooted(example_db)
@@ -135,12 +136,14 @@ class TestArrays:
 
     @pytest.mark.parametrize("merged", [False, True], ids=["unmerged", "merged"])
     def test_bucket_scans_equal_built_child(self, merged):
-        # the bucket scans give the utility and bounds of the child built
-        # from the same bucket, whether that child merges its views or not:
-        # every quantity is a sum of per-view terms, which merging adds up
+        # the bucket scans give the exact utility of the child's itemset and
+        # the bounds of the child built from the same bucket, whether that
+        # child merges its views or not: every quantity is a sum of per-view
+        # terms, which merging adds up
         folded = negative = 0
-        for db, cutoff, _, pdb, z, occurrences in campaign_buckets(merged):
+        for db, cutoff, prefix, pdb, z, occurrences in campaign_buckets(merged):
             n = db.item_count
+            exact = exact_utility(db, prefix + (z,))
             for merge in (False, True):
                 child = project(pdb, z, occurrences, merge)
                 folded += child.folded
@@ -148,9 +151,9 @@ class TestArrays:
                 ref_caps = reference_negative_caps(child)
                 for subtree, ref in ((False, ref_rlu), (True, ref_rsu)):
                     assert compute_bounds(pdb, occurrences, cutoff, subtree) == (
-                        child.utility, [ref.get(w, 0) for w in range(cutoff)])
+                        exact, [ref.get(w, 0) for w in range(cutoff)])
                 assert compute_negative_caps(pdb, occurrences, cutoff, n) == (
-                    child.utility, [0] * cutoff + [ref_caps.get(w, 0) for w in range(cutoff, n)])
+                    exact, [0] * cutoff + [ref_caps.get(w, 0) for w in range(cutoff, n)])
             negative += z >= cutoff
         assert folded > 0 and negative > 0
 

@@ -24,7 +24,7 @@ from topicmine import (
     parse_spmf,
 )
 from topicmine.oracle import all_supported_utilities
-from topicmine.ordering import build_total_order, project
+from topicmine.ordering import build_total_order, deliver, project
 
 
 class TestConfig:
@@ -252,9 +252,9 @@ class TestAblationStats:
             previous = candidates
 
     def test_every_built_child_is_searched(self, example_db, monkeypatch):
-        # a child is built only for a sub-search that enters it: its utility
-        # and bounds come from the parent's bucket, so no leaf is built, and
-        # neither is the last candidate of a negative node
+        # a child is built only for the sub-search that enters it: its
+        # utility and bounds come from the parent's bucket, so no leaf is
+        # built, and neither is a node whose bounds leave no extension
         built, entered = [], []
 
         def projecting(*args):
@@ -262,18 +262,17 @@ class TestAblationStats:
             built.append(child)
             return child
 
-        def entering(name, search):
-            def wrapper(self, prefix, pdb, *rest):
-                entered.append((name, pdb))
-                return search(self, prefix, pdb, *rest)
-            return wrapper
+        search = topicmine.miner._Search.search
+
+        def entering(self, prefix, pdb, candidates, bound):
+            entered.append((pdb, candidates))
+            return search(self, prefix, pdb, candidates, bound)
 
         monkeypatch.setattr(topicmine.miner, "project", projecting)
-        for name in ("search_p", "search_n"):
-            monkeypatch.setattr(topicmine.miner._Search, name,
-                                entering(name, getattr(topicmine.miner._Search, name)))
+        monkeypatch.setattr(topicmine.miner._Search, "search", entering)
         leaves = negative_searches = 0
         for db in (example_db, campaign_db(4, 0.3), campaign_db(9, 0.6)):
+            cutoff = build_total_order(compute_item_summaries(db)).positive_cutoff
             for name in VARIANT_NAMES:
                 built.clear()
                 entered.clear()
@@ -281,10 +280,34 @@ class TestAblationStats:
                 assert stats.projections == len(built), name
                 # the root is the one node entered that was not built here
                 _, *searched = entered
-                assert {id(child) for child in built} == {id(pdb) for _, pdb in searched}, name
+                assert [id(child) for child in built] == [id(pdb) for pdb, _ in searched], name
                 leaves += stats.candidates - stats.projections
-                negative_searches += sum(kind == "search_n" for kind, _ in searched)
+                negative_searches += sum(any(w >= cutoff for w in candidates)
+                                         for _, candidates in searched)
         assert leaves > 0 and negative_searches > 0
+
+    @pytest.mark.parametrize("make_db", [
+        example_database,
+        lambda: campaign_db(4, 0.3),
+        lambda: campaign_db(5, 0.3),
+        lambda: campaign_db(9, 0.6),
+    ], ids=["example", "campaign-4", "campaign-5", "campaign-9"])
+    def test_every_node_is_delivered_once(self, make_db, monkeypatch):
+        # one delivery serves all of a node's candidates, negative and
+        # positive alike: the root and each built child are delivered once
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return deliver(*args)
+
+        monkeypatch.setattr(topicmine.miner, "deliver", counting)
+        db = make_db()
+        for name in VARIANT_NAMES:
+            calls = 0
+            stats = mine(db, MinerConfig.variant(10, name)).stats
+            assert calls == 1 + stats.projections, name
 
     def test_merging_variant_counts_merges(self, example_db):
         merged = mine(example_db, MinerConfig.variant(5, "full"))
@@ -335,10 +358,11 @@ def test_counters_match_golden(db_name):
 
 
 def test_negative_entry_is_cut_by_caps(monkeypatch):
-    # A (label 1) wins with 11 > threshold 9 (the pair {A, C} at k=2), so a
-    # negative search is entered under A. N (label 4) co-occurs with A only
-    # where A is worth 1, so N's cap under A is 1 and {A, N} (utility 0) is
-    # cut before it is projected; N itself survives the root's RTWU filter.
+    # A (label 1) wins with 11 > threshold 9 (the pair {A, C} at k=2), so
+    # A's negative extensions are filtered by their caps. N (label 4)
+    # co-occurs with A only where A is worth 1, so N's cap under A is 1 and
+    # {A, N} (utility 0) is cut before it is offered; N itself survives the
+    # root's RTWU filter.
     db = parse_spmf("1:10:10\n1 3 4:8:1 8 -1\n2:5:5")
     a, n = db.labels.index(1), db.labels.index(4)
     order = build_total_order(compute_item_summaries(db))

@@ -1,5 +1,6 @@
 import pytest
 from helpers import (
+    bucket,
     campaign_db,
     campaign_nodes,
     example_database,
@@ -8,6 +9,7 @@ from helpers import (
 )
 
 from topicmine import compute_item_summaries, generate_synthetic, parse_spmf
+from topicmine.bounds import compute_bounds
 from topicmine.database import Transaction
 from topicmine.ordering import (
     Record,
@@ -122,8 +124,9 @@ class TestProject:
         root, r = example_root(example_db, ids)
         child = project_on(root, r["A"])
         # T1, T3, T4 contain A with prefix utilities 5/15/5; T4's suffix is
-        # empty (E precedes A), so it is accounted then dropped.
-        assert child.utility == 25
+        # empty (E precedes A), so it is counted then dropped.
+        cutoff = canonical(example_db).positive_cutoff
+        assert compute_bounds(root, bucket(root, r["A"]), cutoff)[0] == 25
         assert child.support == 3
         assert [prefix for _, _, prefix, _, _ in view_fields(child)] == [15, 5]
         suffixes = [
@@ -166,27 +169,30 @@ def scan_project(pdb, z):
 
 def contents(pdb):
     """Everything a projection holds, its records by value."""
-    return pdb.utility, pdb.support, [
+    return pdb.support, [
         (rec.items, rec.utilities, rec.pos_suffix, weight, offset, prefix, pos_prefix)
         for rec, offset, prefix, pos_prefix, weight in view_fields(pdb)]
 
 
 def fields(pdb):
-    return pdb.utility, pdb.support, list(view_fields(pdb))
+    return pdb.support, list(view_fields(pdb))
 
 
-def delivered_children(pdb, wanted, merging):
+def delivered_children(pdb, wanted, merging, cutoff):
     """Build every child of ``pdb`` over ``wanted`` from one delivery, check
-    each against ``project_on(pdb, z)`` and the scan reference, and return the
-    non-empty children by item (merged when ``merging``)."""
+    each against ``project_on(pdb, z)`` and the scan reference (its utility
+    against the bucket scan), and return the non-empty children by item
+    (merged when ``merging``)."""
     buckets = deliver(pdb, set(wanted))
     children = {}
     for z in wanted:
         expected = fields(project_on(pdb, z))
-        assert scan_project(pdb, z) == expected
+        utility, *scanned = scan_project(pdb, z)
+        assert tuple(scanned) == expected
         if z not in buckets:
-            assert expected[1] == 0
+            assert expected[0] == utility == 0
             continue
+        assert compute_bounds(pdb, buckets[z], cutoff)[0] == utility
         child = project(pdb, z, buckets[z])
         assert fields(child) == expected
         children[z] = merge_identical(child) if merging else child
@@ -207,8 +213,9 @@ class TestDeliver:
             root = merge_identical(root)
         ranks = range(len(order.items))
         depth2 = []
-        for z, child in delivered_children(root, ranks, merging).items():
-            depth2 += delivered_children(child, ranks[z + 1:], merging).values()
+        cutoff = order.positive_cutoff
+        for z, child in delivered_children(root, ranks, merging, cutoff).items():
+            depth2 += delivered_children(child, ranks[z + 1:], merging, cutoff).values()
         assert depth2
         if merging:
             assert any(rec.weight > 1 for c in depth2 for rec in c.records)
