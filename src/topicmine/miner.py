@@ -15,10 +15,10 @@ rank: RSU with subtree pruning on (RLU without it) for the positive ranks,
 and a positive-prefix cap for the negative ranks. A child under a positive
 item is given negative extensions only when it strictly beats the
 threshold; its negative extensions come before its positive ones. A child
-is built (projected, merging its identical views as it goes) only when it
-has an extension, and is then entered by one sub-search, so a leaf is never
-built. Each candidate's bound is checked again against the threshold of the
-moment before its bucket is scanned; at the threshold, ties are decided by
+is built only when it has an extension: it is projected, merged like the
+root, and entered by one sub-search, so a leaf is never built. Each
+candidate's bound is checked again against the threshold of the moment
+before its bucket is scanned; at the threshold, ties are decided by
 the store's tie order, so a subtree that can at best tie the k-th itemset
 and would lose the tie is cut. Merging and subtree pruning can be toggled
 independently to reproduce the four ablation variants.
@@ -103,12 +103,12 @@ class _Search:
     candidate that occurs, skipping (with subtree pruning on) one whose
     bound can no longer place an itemset by its turn; :meth:`_survivors`
     keeps the extensions whose bound can still place an itemset; and a
-    child that has some is projected (merged when merging is on), and
-    :meth:`_enter` counts its merged-away views, and its views as alive
-    until the node leaves it. A node's bound list is indexed by rank: RSU
-    or RLU for the ``cutoff`` positive ranks, then the caps of the negative
-    ranks up to ``n`` when the node has any. ``eta`` holds the kept
-    negative items.
+    child that has some is projected and handed to :meth:`_enter`, which
+    merges it when merging is on (as it does the root), counts its
+    merged-away views, and counts its views as alive until the node leaves
+    it. A node's bound list is indexed by rank: RSU or RLU for the
+    ``cutoff`` positive ranks, then the caps of the negative ranks up to
+    ``n`` when the node has any. ``eta`` holds the kept negative items.
     """
 
     __slots__ = ("store", "config", "stats", "eta", "cutoff", "n", "live_views")
@@ -157,13 +157,17 @@ class _Search:
             stats.candidates += 1
             yield z, beta, occurrences
 
-    def _enter(self, pdb: ProjectedDatabase) -> None:
-        """Count the node's merged-away views and its views as alive; the
-        node subtracts the latter again when it leaves the child."""
+    def _enter(self, pdb: ProjectedDatabase) -> ProjectedDatabase:
+        """Merge the node's identical views when merging is on, count its
+        merged-away views and its views as alive, and return it; the parent
+        subtracts the latter again when it leaves the node."""
+        if self.config.enable_merging:
+            pdb = merge_identical(pdb)
         self.stats.merges += pdb.folded
         self.live_views += len(pdb.records)
         if self.live_views > self.stats.peak_entries:
             self.stats.peak_entries = self.live_views
+        return pdb
 
     def _survivors(self, alpha: tuple[int, ...], candidates: Iterable[int], bound: list[int],
                    floor: int = 1) -> list[int]:
@@ -205,7 +209,6 @@ class _Search:
         cutoff = self.cutoff
         n = self.n
         stats = self.stats
-        merge = self.config.enable_merging
         subtree = self.config.enable_subtree_pruning
         for z, beta, occurrences in self._children(alpha, pdb, candidates, bound):
             if z < cutoff:
@@ -223,9 +226,8 @@ class _Search:
                 store.offer(beta, utility)
                 extensions = self._survivors(beta, range(z + 1, n), child_bound)
             if extensions:
-                child = project(pdb, z, occurrences, merge)
+                child = self._enter(project(pdb, z, occurrences))
                 stats.projections += 1
-                self._enter(child)
                 yield self.search(beta, child, extensions, child_bound)
                 self.live_views -= len(child.records)
 
@@ -262,10 +264,7 @@ def mine(db: UtilityDatabase, config: MinerConfig) -> MineResult:
     eta = [r for r in kept if r >= order.positive_cutoff]
 
     search = _Search(store, config, stats, eta, order.positive_cutoff, len(order.items))
-    root = build_root(remap_database(db, order, {order.items[r] for r in kept}))
-    if config.enable_merging:
-        root = merge_identical(root)
-    search._enter(root)
+    root = search._enter(build_root(remap_database(db, order, {order.items[r] for r in kept})))
     store.raise_to_kth(_item_and_pair_utilities(summaries, order, root, positives, config.k))
     rsu = compute_rsu(root, order.positive_cutoff)
     candidates = search._survivors((), positives, rsu)

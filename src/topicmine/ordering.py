@@ -9,18 +9,17 @@ another exactly when its id is smaller. Every item has one fixed sign and no
 utility is zero, so an occurrence's sign is read from its utility. Records
 are sorted backward-lexicographically so that identical projected suffixes
 end up adjacent, and they stay so under projection, which lets merging fold
-each view into the previous one as the views are emitted.
+each view into the previous one in one pass over the views.
 
 Children of a search node come from one pass over its views' suffixes
 (occurrence delivery, as in LCM ver. 2): :func:`deliver` buckets every
 view and position holding one of the wanted items. A child's utility and
 bounds are read from its bucket (:mod:`topicmine.bounds`), and only a child
 that the search enters is built: :func:`project` turns its bucket into the
-child projection, merging the child's identical views as it goes (EFIM's
-projection and transaction merging in one pass). Items that occur in no
-view get no bucket, so they are never candidates.
-:func:`merge_identical` merges the root's views by the same rule
-(:func:`_fold`).
+child projection. Items that occur in no view get no bucket, so they are
+never candidates. :func:`merge_identical` then merges the identical views
+of the root and of every built child (EFIM's transaction merging after its
+database projection).
 
 A projected database keeps its views as parallel lists (record, offset,
 prefix utility, positive prefix), not as one object per view, and a view's
@@ -73,7 +72,8 @@ class Record:
     """Backing storage for projected views: one (possibly merged) transaction.
 
     The root's records come from :func:`remap_database`, merged ones from
-    :func:`_fold`. ``items`` are ranks, ascending.
+    :func:`merge_identical` (by :func:`_fold`); :func:`project` makes none.
+    ``items`` are ranks, ascending.
     ``pos_suffix[i]`` is the sum of positive utilities at positions >= i (the
     remaining-utility lookup). ``weight`` is the merge multiplicity: 1 for a
     source transaction, the sum of the merged records' weights otherwise.
@@ -104,8 +104,8 @@ class ProjectedDatabase:
     subtree can still achieve there and survives merging additively. Every
     kept offset lies strictly inside its record. ``support`` counts
     supporting source transactions (merge weights included). ``folded``
-    counts the views folded into others when the projection was built
-    (:func:`project`, :func:`merge_identical`).
+    counts the views that :func:`merge_identical` folded into others to
+    make this projection.
     """
 
     __slots__ = ("records", "offsets", "prefixes", "pos_prefixes", "support", "folded")
@@ -151,18 +151,15 @@ def deliver(pdb: ProjectedDatabase, wanted) -> dict[int, list]:
     return buckets
 
 
-def project(pdb: ProjectedDatabase, x: int, occurrences, merge: bool = False) -> ProjectedDatabase:
+def project(pdb: ProjectedDatabase, x: int, occurrences) -> ProjectedDatabase:
     """Project on item x: keep views containing x, advance offsets past x, and
     fold U(x, view) into each prefix utility.
 
     ``occurrences`` is x's bucket from :func:`deliver` on ``pdb``. Views whose
     remaining suffix is empty still count toward the new prefix's support
-    but are dropped from the result. With ``merge`` on, a kept view whose
-    remaining suffix equals the previous kept view's is folded into it
-    (:func:`_fold`): projection keeps the backward-lexicographic order, so
-    identical suffixes arrive next to each other. The result's
-    ``folded`` counts the views folded away; a view folded into no other
-    keeps its parent's record.
+    but are dropped from the result. Every kept view keeps its parent's
+    record; projection keeps the backward-lexicographic order, so
+    :func:`merge_identical` can merge the result.
     """
     records = pdb.records
     prefixes = pdb.prefixes
@@ -172,43 +169,18 @@ def project(pdb: ProjectedDatabase, x: int, occurrences, merge: bool = False) ->
     out_prefixes = []
     out_pos = []
     support = 0
-    folded = 0
-    group = []  # views folded into the last kept one, flat (record, offset)
-    # the last kept view's items, offset, suffix length and, once compared, suffix
-    last = start = length = key = None
     pairs = iter(occurrences)
     for i, pos in zip(pairs, pairs):
         rec = records[i]
         u = rec.utilities[pos]
-        prefix = prefixes[i] + u
         support += rec.weight
-        items = rec.items
         pos += 1
-        n = len(items) - pos
-        if n:
-            pos_prefix = pos_prefixes[i] + (u if u > 0 else 0)
-            if merge and n == length and items[pos] == last[start]:
-                if key is None:
-                    key = last[start:]
-                if items[pos:] == key:
-                    group += (rec, pos)
-                    out_prefixes[-1] += prefix
-                    out_pos[-1] += pos_prefix
-                    continue
-            if group:
-                folded += _fold(out_records, out_offsets, key, group)
-                group = []
+        if pos < len(rec.items):
             out_records.append(rec)
             out_offsets.append(pos)
-            out_prefixes.append(prefix)
-            out_pos.append(pos_prefix)
-            last = items
-            start = pos
-            length = n
-            key = None
-    if group:
-        folded += _fold(out_records, out_offsets, key, group)
-    return ProjectedDatabase(out_records, out_offsets, out_prefixes, out_pos, support, folded)
+            out_prefixes.append(prefixes[i] + u)
+            out_pos.append(pos_prefixes[i] + (u if u > 0 else 0))
+    return ProjectedDatabase(out_records, out_offsets, out_prefixes, out_pos, support)
 
 
 def _fold(records: list[Record], offsets: list[int], key: list[int], group: list) -> int:
@@ -231,8 +203,8 @@ def _fold(records: list[Record], offsets: list[int], key: list[int], group: list
 
 
 def merge_identical(pdb: ProjectedDatabase) -> ProjectedDatabase:
-    """Coalesce consecutive views with identical item suffixes, as
-    :func:`project` does with ``merge`` on; the root is merged this way.
+    """Coalesce consecutive views with identical item suffixes; the root and
+    every built child are merged this way.
 
     Requires ``pdb`` to be backward-lexicographically sorted so identical
     suffixes are adjacent. Returns ``pdb`` itself when no two neighbouring

@@ -38,6 +38,7 @@ def test_traced_mine_gives_every_bench_figure(bench, example_db):
     stats = result.stats
     assert metrics["topk.offer_calls"] == stats.candidates > 0
     assert metrics["ordering.project_calls"] == stats.projections
+    assert metrics["ordering.merge_calls"] == 1 + stats.projections
     assert metrics["bounds.bounds_calls"] > 0
     assert metrics["bounds.negcaps_calls"] > 0
     assert trace.seconds["bounds.root_s"] > 0  # compute_rsu and compute_riu ran

@@ -115,7 +115,9 @@ class TestArrays:
         for db, cutoff, prefix, pdb, z, occurrences in campaign_buckets(merged):
             n = db.item_count
             positives, negatives = range(cutoff), range(cutoff, n)
-            child = project(pdb, z, occurrences, merged)
+            child = project(pdb, z, occurrences)
+            if merged:
+                child = merge_identical(child)
             _, rlu = compute_bounds(pdb, occurrences, cutoff, False)
             _, rsu = compute_bounds(pdb, occurrences, cutoff)
             _, caps = compute_negative_caps(pdb, occurrences, cutoff, n)
@@ -144,8 +146,8 @@ class TestArrays:
         for db, cutoff, prefix, pdb, z, occurrences in campaign_buckets(merged):
             n = db.item_count
             exact = exact_utility(db, prefix + (z,))
-            for merge in (False, True):
-                child = project(pdb, z, occurrences, merge)
+            plain = project(pdb, z, occurrences)
+            for child in (plain, merge_identical(plain)):
                 folded += child.folded
                 ref_rlu, ref_rsu = reference_bounds(child)
                 ref_caps = reference_negative_caps(child)

@@ -24,7 +24,7 @@ from topicmine import (
     parse_spmf,
 )
 from topicmine.oracle import all_supported_utilities
-from topicmine.ordering import build_total_order, deliver, project
+from topicmine.ordering import build_total_order, deliver, merge_identical, project
 
 
 class TestConfig:
@@ -254,13 +254,23 @@ class TestAblationStats:
     def test_every_built_child_is_searched(self, example_db, monkeypatch):
         # a child is built only for the sub-search that enters it: its
         # utility and bounds come from the parent's bucket, so no leaf is
-        # built, and neither is a node whose bounds leave no extension
-        built, entered = [], []
+        # built, and neither is a node whose bounds leave no extension;
+        # each built child goes through _enter, and the search walks the
+        # node that _enter returns
+        built, received, returned, entered = [], [], [], []
 
         def projecting(*args):
             child = project(*args)
             built.append(child)
             return child
+
+        enter = topicmine.miner._Search._enter
+
+        def entering_node(self, pdb):
+            received.append(pdb)
+            node = enter(self, pdb)
+            returned.append(node)
+            return node
 
         search = topicmine.miner._Search.search
 
@@ -269,22 +279,45 @@ class TestAblationStats:
             return search(self, prefix, pdb, candidates, bound)
 
         monkeypatch.setattr(topicmine.miner, "project", projecting)
+        monkeypatch.setattr(topicmine.miner._Search, "_enter", entering_node)
         monkeypatch.setattr(topicmine.miner._Search, "search", entering)
         leaves = negative_searches = 0
         for db in (example_db, campaign_db(4, 0.3), campaign_db(9, 0.6)):
             cutoff = build_total_order(compute_item_summaries(db)).positive_cutoff
             for name in VARIANT_NAMES:
-                built.clear()
-                entered.clear()
+                for log in (built, received, returned, entered):
+                    log.clear()
                 stats = mine(db, MinerConfig.variant(10, name)).stats
                 assert stats.projections == len(built), name
                 # the root is the one node entered that was not built here
+                assert [id(child) for child in built] == [id(pdb) for pdb in received[1:]], name
+                assert [id(node) for node in returned] == [id(pdb) for pdb, _ in entered], name
                 _, *searched = entered
-                assert [id(child) for child in built] == [id(pdb) for pdb, _ in searched], name
                 leaves += stats.candidates - stats.projections
                 negative_searches += sum(any(w >= cutoff for w in candidates)
                                          for _, candidates in searched)
         assert leaves > 0 and negative_searches > 0
+
+    def test_every_entered_node_is_merged_once(self, example_db, monkeypatch):
+        # merging runs once per entered node, the root and each built child
+        # alike, and never when it is switched off
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return merge_identical(*args)
+
+        monkeypatch.setattr(topicmine.miner, "merge_identical", counting)
+        cases = [(example_db, 5), (example_db, 10), (campaign_db(4, 0.3), 10),
+                 (campaign_db(5, 0.3), 10), (campaign_db(9, 0.6), 10)]
+        for db, k in cases:
+            for name in VARIANT_NAMES:
+                calls = 0
+                config = MinerConfig.variant(k, name)
+                stats = mine(db, config).stats
+                expected = 1 + stats.projections if config.enable_merging else 0
+                assert calls == expected, (name, k)
 
     @pytest.mark.parametrize("make_db", [
         example_database,

@@ -167,13 +167,6 @@ def scan_project(pdb, z):
     return utility, support, views
 
 
-def contents(pdb):
-    """Everything a projection holds, its records by value."""
-    return pdb.support, [
-        (rec.items, rec.utilities, rec.pos_suffix, weight, offset, prefix, pos_prefix)
-        for rec, offset, prefix, pos_prefix, weight in view_fields(pdb)]
-
-
 def fields(pdb):
     return pdb.support, list(view_fields(pdb))
 
@@ -255,26 +248,27 @@ class TestMerge:
         # T2 and T5 project to the identical {B, C} suffix
         assert [(prefix, weight) for _, _, prefix, _, weight in view_fields(child)] == [(72, 2)]
 
-
     @pytest.mark.parametrize("merged", [False, True], ids=["unmerged", "merged"])
-    def test_merge_in_project_equals_project_then_merge(self, merged):
-        # projecting with merge on gives, view for view, what merging the
-        # plain projection gives, reports the same number of folded views,
-        # and keeps the parent's records where nothing folds
-        folded = 0
+    def test_project_keeps_records_and_merge_counts_folds(self, merged):
+        # a plain projection keeps its parent's records; merging it reports
+        # as folded exactly the views it drops, and hands back the
+        # projection itself when nothing folds
+        folded = unchanged = 0
         for db, _, prefix, pdb in campaign_nodes(merged):
             last = prefix[-1] if prefix else -1
             parent_records = {id(rec) for rec in pdb.records}
             for z, occurrences in deliver(pdb, set(range(last + 1, db.item_count))).items():
-                inline = project(pdb, z, occurrences, True)
                 plain = project(pdb, z, occurrences)
+                assert plain.folded == 0
+                assert {id(rec) for rec in plain.records} <= parent_records
                 after = merge_identical(plain)
-                assert contents(inline) == contents(after)
-                assert inline.folded == after.folded == len(plain.records) - len(inline.records)
-                if not inline.folded:
-                    assert {id(rec) for rec in inline.records} <= parent_records
-                folded += inline.folded
-        assert folded > 0
+                assert after.folded == len(plain.records) - len(after.records)
+                if not after.folded:
+                    assert after is plain
+                    unchanged += 1
+                folded += after.folded
+        assert folded > 0 and unchanged > 0
+
 
 class TestLayout:
     @pytest.mark.parametrize("merged", [False, True], ids=["unmerged", "merged"])
