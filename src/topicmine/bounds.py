@@ -13,15 +13,16 @@ fills only the bound its search prunes by: RSU with subtree pruning on, RLU
 without it. Ranks put every positive item before every negative one, so
 each view's suffix splits at the first rank of a negative item: the RLU/RSU
 scan reads only the positions before that split and the cap scan only those
-from it on. The root, which has no parent bucket, gets its RSU from one
-scan of its views (:func:`compute_rsu`)."""
+from it on. The root has no parent bucket; its RSU (:func:`compute_rsu`) and
+its pair utilities (:func:`compute_pair_rows`) are read from its own
+buckets, the same delivery its search pops its children from."""
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 
 from .database import ItemSummary
-from .ordering import ProjectedDatabase, deliver
+from .ordering import ProjectedDatabase
 
 
 def compute_bounds(pdb: ProjectedDatabase, occurrences, cutoff: int,
@@ -69,16 +70,16 @@ def compute_bounds(pdb: ProjectedDatabase, occurrences, cutoff: int,
     return utility, bound
 
 
-def compute_rsu(root: ProjectedDatabase, cutoff: int) -> list[int]:
-    """RSU of every positive rank at the root, from one scan of its views:
-    the sum over views containing z of U(z, view) + positive utilities after
-    z (the root's prefix utilities are 0)."""
+def compute_rsu(root: ProjectedDatabase, buckets: dict[int, list], cutoff: int) -> list[int]:
+    """RSU of every positive rank at the root, one rank per bucket of
+    ``buckets`` (the root's delivery of its positive items): the sum over
+    views containing z of U(z, view) + positive utilities after z, which is
+    the view's ``pos_suffix`` at z (the root's prefix utilities are 0)."""
     rsu = [0] * cutoff
-    for rec, offset in zip(root.records, root.offsets):
-        items = rec.items
-        suffix = rec.pos_suffix
-        for p in range(offset, bisect_left(items, cutoff, offset)):
-            rsu[items[p]] += suffix[p]
+    records = root.records
+    for z, occurrences in buckets.items():
+        pairs = iter(occurrences)
+        rsu[z] = sum(records[i].pos_suffix[p] for i, p in zip(pairs, pairs))
     return rsu
 
 
@@ -117,19 +118,17 @@ def compute_riu(summaries: list[ItemSummary]) -> list[int]:
 
 
 def compute_pair_rows(
-    root: ProjectedDatabase, firsts: Iterable[int]
+    root: ProjectedDatabase, buckets: dict[int, list], firsts: Iterable[int]
 ) -> Iterator[tuple[int, dict[int, int]]]:
     """Exact pair utilities of the (merged or unmerged) root, one row at a
-    time: for each item ``a`` of ``firsts`` that occurs, yield ``(a, row)``
-    where ``row[b]`` is U({a, b}) for every item b ranked after a in a view
-    holding a. One delivery of the root serves every row, and only one row
-    is alive at a time."""
-    buckets = deliver(root, set(firsts))
+    time: for each item ``a`` of ``firsts`` that has a bucket in
+    ``buckets`` (the root's delivery), yield ``(a, row)`` where ``row[b]``
+    is U({a, b}) for every item b ranked after a in a view holding a. The
+    buckets are read, not consumed, and only one row is alive at a time."""
     records = root.records
-    for a in sorted(buckets):
-        occurrences = buckets.pop(a)
+    for a in sorted(set(firsts) & buckets.keys()):
         row: dict[int, int] = {}
-        pairs = iter(occurrences)
+        pairs = iter(buckets[a])
         for i, p in zip(pairs, pairs):
             rec = records[i]
             items = rec.items

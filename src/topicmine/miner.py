@@ -2,15 +2,17 @@
 
 :func:`mine` raises the threshold from single-item utilities, prunes the
 database and renames its items to their processing ranks, and builds and
-merges the root. It then raises the threshold again to the k-th largest
-exact utility among the single items and the item pairs that co-occur in the
-root (the CUD strategy of kHMC), before it filters the root's extensions.
-The search is depth-first over ranks, where every positive item precedes
-every negative one, and runs in one loop over an explicit stack, so it has
-no depth limit. Every node goes through one lifecycle: deliver its
-occurrences once, then count each candidate child, read its exact utility
-and its bound list from its bucket, offer it, and keep the extensions whose
-bound can still place an itemset. A node's bound list holds one bound per
+enters the root like every other node: merged, then delivered once. From
+the root's buckets it raises the threshold again to the k-th largest exact
+utility among the single items and the item pairs that co-occur in the root
+(the CUD strategy of kHMC), then reads the root's RSU, and the search pops
+its children from the same buckets. The search is depth-first over ranks,
+where every positive item precedes every negative one, and runs in one loop
+over an explicit stack, so it has no depth limit. Every node goes through
+one lifecycle: it is entered (merged and delivered once), then each
+candidate child is counted, its exact utility and bound list are read from
+its bucket, it is offered, and the extensions whose bound can still place
+an itemset are kept. A node's bound list holds one bound per
 rank: RSU with subtree pruning on (RLU without it) for the positive ranks,
 and a positive-prefix cap for the negative ranks. A child under a positive
 item is given negative extensions only when it strictly beats the
@@ -96,17 +98,17 @@ class _Search:
     """Per-run mutable search state (single-threaded). Items are ranks.
 
     The search runs in one loop over an explicit stack (:meth:`run`), so its
-    depth is not limited by the interpreter's. Each node is a
-    :meth:`search` generator that yields one sub-search per built child, as
-    an unstarted generator, and leaves that child when resumed.
-    :meth:`_children` delivers the node's occurrences once and counts each
+    depth is not limited by the interpreter's. :meth:`_enter` takes every
+    node, the root and each built child alike: it merges the node when
+    merging is on, counts its merged-away views, counts its views as alive
+    until the parent leaves it, and delivers its occurrences once. Each
+    node is a :meth:`search` generator over its buckets that counts each
     candidate that occurs, skipping (with subtree pruning on) one whose
-    bound can no longer place an itemset by its turn; :meth:`_survivors`
-    keeps the extensions whose bound can still place an itemset; and a
-    child that has some is projected and handed to :meth:`_enter`, which
-    merges it when merging is on (as it does the root), counts its
-    merged-away views, and counts its views as alive until the node leaves
-    it. A node's bound list is indexed by rank: RSU or RLU for the
+    bound can no longer place an itemset by its turn, and yields one
+    sub-search per built child, as an unstarted generator, leaving that
+    child when resumed. :meth:`_survivors` keeps the extensions whose bound
+    can still place an itemset, and only a child that has some is projected
+    and entered. A node's bound list is indexed by rank: RSU or RLU for the
     ``cutoff`` positive ranks, then the caps of the negative ranks up to
     ``n`` when the node has any. ``eta`` holds the kept negative items.
     """
@@ -123,10 +125,12 @@ class _Search:
         self.n = n
         self.live_views = 0
 
-    def run(self, root: ProjectedDatabase, candidates: list[int], rsu: list[int]) -> None:
-        """Search depth first from the root: resume the top node, push the
-        sub-search it yields and pop it once it is exhausted."""
-        stack = [self.search((), root, candidates, rsu)]
+    def run(self, root: ProjectedDatabase, buckets: dict[int, list], candidates: list[int],
+            rsu: list[int]) -> None:
+        """Search depth first from the entered root and its ``buckets``:
+        resume the top node, push the sub-search it yields and pop it once
+        it is exhausted."""
+        stack = [self.search((), root, buckets, candidates, rsu)]
         while stack:
             sub = next(stack[-1], None)
             if sub is None:
@@ -134,40 +138,19 @@ class _Search:
             else:
                 stack.append(sub)
 
-    def _children(self, alpha: tuple[int, ...], pdb: ProjectedDatabase, candidates: list[int],
-                  bound: list[int]):
-        """Yield ``(item, itemset, occurrences)`` for each candidate that
-        occurs in ``pdb``, in candidate order, after counting it; the caller
-        reads the child's utility and bounds from ``occurrences`` and builds
-        the child only to search it. With subtree pruning on, a candidate is
-        skipped when its ``bound`` (RSU for a positive item, the negative cap
-        for a negative one) can no longer place an itemset of its subtree by
-        its turn."""
-        buckets = deliver(pdb, set(candidates))
-        store = self.store
-        prune = self.config.enable_subtree_pruning
-        stats = self.stats
-        for z in candidates:
-            occurrences = buckets.pop(z, None)
-            if occurrences is None:
-                continue
-            beta = alpha + (z,)
-            if prune and not store.can_place(bound[z], beta):
-                continue
-            stats.candidates += 1
-            yield z, beta, occurrences
-
-    def _enter(self, pdb: ProjectedDatabase) -> ProjectedDatabase:
+    def _enter(self, pdb: ProjectedDatabase,
+               wanted: Iterable[int]) -> tuple[ProjectedDatabase, dict[int, list]]:
         """Merge the node's identical views when merging is on, count its
-        merged-away views and its views as alive, and return it; the parent
-        subtracts the latter again when it leaves the node."""
+        merged-away views and its views as alive, and return the node with
+        its one delivery of the ``wanted`` items; the parent subtracts the
+        alive views again when it leaves the node."""
         if self.config.enable_merging:
             pdb = merge_identical(pdb)
         self.stats.merges += pdb.folded
         self.live_views += len(pdb.records)
         if self.live_views > self.stats.peak_entries:
             self.stats.peak_entries = self.live_views
-        return pdb
+        return pdb, deliver(pdb, set(wanted))
 
     def _survivors(self, alpha: tuple[int, ...], candidates: Iterable[int], bound: list[int],
                    floor: int = 1) -> list[int]:
@@ -184,13 +167,17 @@ class _Search:
                     if bound[w] >= mu and store.can_place(bound[w], alpha + (w,))]
         return [w for w in candidates if bound[w] >= floor]
 
-    def search(self, alpha: tuple[int, ...], pdb: ProjectedDatabase, candidates: list[int],
-               bound: list[int]) -> Iterator[Iterator]:
-        """Extend ``alpha`` with each item z of ``candidates``, whose bounds
-        in ``pdb`` are ``bound``: RSU (RLU with subtree pruning off) for a
-        positive item, the negative cap for a negative one. No bound grows
-        down the tree and the threshold never falls, so an item that a
-        child's bound rejects was pruned above or does not occur (bound 0).
+    def search(self, alpha: tuple[int, ...], pdb: ProjectedDatabase, buckets: dict[int, list],
+               candidates: list[int], bound: list[int]) -> Iterator[Iterator]:
+        """Extend ``alpha`` with each item z of ``candidates`` that has a
+        bucket in ``buckets`` (``pdb``'s delivery), in candidate order, and
+        whose bound in ``pdb`` can still place an itemset by its turn when
+        subtree pruning is on. ``bound`` is RSU (RLU with subtree pruning
+        off) for a positive item, the negative cap for a negative one. No
+        bound grows down the tree and the threshold never falls, so an item
+        that a child's bound rejects was pruned above or does not occur
+        (bound 0), and a check that fails at one turn fails at every later
+        one.
 
         A positive z's child takes the items of ``eta`` that pass its caps,
         when it strictly beats the threshold, and then the positive ranks
@@ -210,7 +197,14 @@ class _Search:
         n = self.n
         stats = self.stats
         subtree = self.config.enable_subtree_pruning
-        for z, beta, occurrences in self._children(alpha, pdb, candidates, bound):
+        for z in candidates:
+            occurrences = buckets.pop(z, None)
+            if occurrences is None:
+                continue
+            beta = alpha + (z,)
+            if subtree and not store.can_place(bound[z], beta):
+                continue
+            stats.candidates += 1
             if z < cutoff:
                 utility, child_bound = compute_bounds(pdb, occurrences, cutoff, subtree)
                 store.offer(beta, utility)
@@ -226,22 +220,23 @@ class _Search:
                 store.offer(beta, utility)
                 extensions = self._survivors(beta, range(z + 1, n), child_bound)
             if extensions:
-                child = self._enter(project(pdb, z, occurrences))
+                child, child_buckets = self._enter(project(pdb, z, occurrences), extensions)
                 stats.projections += 1
-                yield self.search(beta, child, extensions, child_bound)
+                yield self.search(beta, child, child_buckets, extensions, child_bound)
                 self.live_views -= len(child.records)
 
 
 def _item_and_pair_utilities(summaries: list[ItemSummary], order: TotalOrder,
-                             root: ProjectedDatabase, positives: list[int],
-                             k: int) -> Iterator[int]:
+                             root: ProjectedDatabase, buckets: dict[int, list],
+                             positives: list[int], k: int) -> Iterator[int]:
     """Yield the exact utility of every item, then of every pair in the root
-    led by one of the k items of ``positives`` with the highest utility.
-    Each value belongs to a distinct itemset, as the pair raise needs."""
+    led by one of the k items of ``positives`` with the highest utility,
+    read from the root's ``buckets``. Each value belongs to a distinct
+    itemset, as the pair raise needs."""
     for s in summaries:
         yield s.utility
     firsts = heapq.nlargest(k, positives, key=lambda r: summaries[order.items[r]].utility)
-    for _, row in compute_pair_rows(root, firsts):
+    for _, row in compute_pair_rows(root, buckets, firsts):
         yield from row.values()
 
 
@@ -264,12 +259,11 @@ def mine(db: UtilityDatabase, config: MinerConfig) -> MineResult:
     eta = [r for r in kept if r >= order.positive_cutoff]
 
     search = _Search(store, config, stats, eta, order.positive_cutoff, len(order.items))
-    root = search._enter(build_root(remap_database(db, order, {order.items[r] for r in kept})))
-    store.raise_to_kth(_item_and_pair_utilities(summaries, order, root, positives, config.k))
-    rsu = compute_rsu(root, order.positive_cutoff)
-    candidates = search._survivors((), positives, rsu)
-    if candidates:
-        search.run(root, candidates, rsu)
+    root, buckets = search._enter(
+        build_root(remap_database(db, order, {order.items[r] for r in kept})), positives)
+    store.raise_to_kth(
+        _item_and_pair_utilities(summaries, order, root, buckets, positives, config.k))
+    search.run(root, buckets, positives, compute_rsu(root, buckets, order.positive_cutoff))
 
     top_k = [(tuple(sorted(order.items[r] for r in itemset)), utility)
              for itemset, utility in store.results()]

@@ -243,9 +243,11 @@ def check_bound_soundness(db: UtilityDatabase) -> int:
         return best, containing
 
     # the root has no parent bucket: its RLU is the RTWU the miner filters
-    # by, its RSU one scan of its views, and its caps are 0 (empty prefix)
+    # by, its RSU is read from its own delivery of its positive items, as
+    # the miner reads it, and its caps are 0 (empty prefix)
     root_rlu = [summaries[by_rank[r]].rtwu for r in range(cutoff)]
-    dfs((), root, root_rlu, compute_rsu(root, cutoff), [0] * m)
+    root_rsu = compute_rsu(root, deliver(root, set(range(cutoff))), cutoff)
+    dfs((), root, root_rlu, root_rsu, [0] * m)
     return violations
 
 

@@ -25,6 +25,7 @@ from topicmine.oracle import utility_of
 from topicmine.ordering import (
     build_root,
     build_total_order,
+    deliver,
     merge_identical,
     project,
     remap_database,
@@ -110,7 +111,9 @@ class TestArrays:
             if not prefix:
                 shrunk += len(pdb.views) < len(db.transactions)
                 _, ref_rsu = reference_bounds(pdb)
-                assert compute_rsu(pdb, cutoff) == [ref_rsu.get(z, 0) for z in range(cutoff)]
+                buckets = deliver(pdb, set(range(cutoff)))
+                assert compute_rsu(pdb, buckets, cutoff) == [
+                    ref_rsu.get(z, 0) for z in range(cutoff)]
                 roots += 1
         for db, cutoff, prefix, pdb, z, occurrences in campaign_buckets(merged):
             n = db.item_count
@@ -205,7 +208,8 @@ class TestPairRows:
             assert len(merged_root.views) < len(root.views)
             root = merged_root
         got = {}
-        for a, row in compute_pair_rows(root, range(order.positive_cutoff)):
+        positives = range(order.positive_cutoff)
+        for a, row in compute_pair_rows(root, deliver(root, set(positives)), positives):
             for b, utility in row.items():
                 got[a, b] = utility
         expected = {}
@@ -221,9 +225,11 @@ class TestPairRows:
     def test_rows_only_for_firsts(self, example_db, ids):
         root, r, _ = rooted(example_db, ids)
         # rows only for the given items, each holding the items ranked after
-        # it: E precedes A, so A's row lacks it, and C is last, so its row is empty
+        # it: E precedes A, so A's row lacks it, and C is last, so its row is
+        # empty; the buckets hold every item, as the root's delivery holds
+        # items that are not firsts
         assert [r[n] for n in "EADBC"] == [0, 1, 2, 3, 4]
-        rows = dict(compute_pair_rows(root, [r["A"], r["C"]]))
+        rows = dict(compute_pair_rows(root, deliver(root, set(range(5))), [r["A"], r["C"]]))
         assert rows == {r["A"]: {r["D"]: 62}, r["C"]: {}}
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import topicmine.bounds
 import topicmine.miner
 from helpers import (
     VARIANT_NAMES,
@@ -266,17 +267,17 @@ class TestAblationStats:
 
         enter = topicmine.miner._Search._enter
 
-        def entering_node(self, pdb):
+        def entering_node(self, pdb, wanted):
             received.append(pdb)
-            node = enter(self, pdb)
+            node, buckets = enter(self, pdb, wanted)
             returned.append(node)
-            return node
+            return node, buckets
 
         search = topicmine.miner._Search.search
 
-        def entering(self, prefix, pdb, candidates, bound):
+        def entering(self, prefix, pdb, buckets, candidates, bound):
             entered.append((pdb, candidates))
-            return search(self, prefix, pdb, candidates, bound)
+            return search(self, prefix, pdb, buckets, candidates, bound)
 
         monkeypatch.setattr(topicmine.miner, "project", projecting)
         monkeypatch.setattr(topicmine.miner._Search, "_enter", entering_node)
@@ -327,7 +328,9 @@ class TestAblationStats:
     ], ids=["example", "campaign-4", "campaign-5", "campaign-9"])
     def test_every_node_is_delivered_once(self, make_db, monkeypatch):
         # one delivery serves all of a node's candidates, negative and
-        # positive alike: the root and each built child are delivered once
+        # positive alike: the root and each built child are delivered once,
+        # and the root's pair raise and RSU read the delivery its search
+        # pops its children from
         calls = 0
 
         def counting(*args):
@@ -336,6 +339,7 @@ class TestAblationStats:
             return deliver(*args)
 
         monkeypatch.setattr(topicmine.miner, "deliver", counting)
+        monkeypatch.setattr(topicmine.bounds, "deliver", counting, raising=False)
         db = make_db()
         for name in VARIANT_NAMES:
             calls = 0
