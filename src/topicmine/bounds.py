@@ -13,9 +13,12 @@ fills only the bound its search prunes by: RSU with subtree pruning on, RLU
 without it. Ranks put every positive item before every negative one, so
 each view's suffix splits at the first rank of a negative item: the RLU/RSU
 scan reads only the positions before that split and the cap scan only those
-from it on. The root has no parent bucket; its RSU (:func:`compute_rsu`) and
-its pair utilities (:func:`compute_pair_rows`) are read from its own
-buckets, the same delivery its search pops its children from."""
+from it on. Records store no suffix sums: the RSU scan walks a view's
+positive positions backward with a running remaining utility, as EFIM
+does, and RLU sums them once per view. The root has no parent bucket; its
+RSU (:func:`compute_rsu`) and its pair utilities (:func:`compute_pair_rows`)
+are read from its own buckets, the same delivery its search pops its
+children from."""
 from __future__ import annotations
 
 from bisect import bisect_left
@@ -51,35 +54,47 @@ def compute_bounds(pdb: ProjectedDatabase, occurrences, cutoff: int,
         for i, p in zip(pairs, pairs):
             rec = records[i]
             items = rec.items
-            suffix = rec.pos_suffix
-            prefix = prefixes[i] + rec.utilities[p]
-            utility += prefix
-            p += 1
-            for q in range(p, bisect_left(items, cutoff, p)):
-                bound[items[q]] += prefix + suffix[q]
+            utils = rec.utilities
+            total = prefixes[i] + utils[p]
+            utility += total
+            # every position before the split holds a positive item
+            for q in range(bisect_left(items, cutoff, p + 1) - 1, p, -1):
+                total += utils[q]
+                bound[items[q]] += total
     else:
         for i, p in zip(pairs, pairs):
             rec = records[i]
             items = rec.items
-            prefix = prefixes[i] + rec.utilities[p]
+            utils = rec.utilities
+            prefix = prefixes[i] + utils[p]
             utility += prefix
             p += 1
-            base = prefix + rec.pos_suffix[p]
-            for q in range(p, bisect_left(items, cutoff, p)):
+            end = bisect_left(items, cutoff, p)
+            base = prefix + sum(utils[p:end])
+            for q in range(p, end):
                 bound[items[q]] += base
     return utility, bound
 
 
 def compute_rsu(root: ProjectedDatabase, buckets: dict[int, list], cutoff: int) -> list[int]:
-    """RSU of every positive rank at the root, one rank per bucket of
-    ``buckets`` (the root's delivery of its positive items): the sum over
-    views containing z of U(z, view) + positive utilities after z, which is
-    the view's ``pos_suffix`` at z (the root's prefix utilities are 0)."""
+    """RSU of every positive rank at the root: the sum over views containing
+    z of U(z, view) + positive utilities after z (the root's prefix
+    utilities are 0). ``buckets`` is the root's delivery of every positive
+    item it holds. Buckets are read from the last positive rank down,
+    keeping one running tail per view, so when z's occurrence in a view is
+    read, the view's tail already holds the utilities of every positive
+    item after z there, and each occurrence adds its utility once."""
     rsu = [0] * cutoff
     records = root.records
-    for z, occurrences in buckets.items():
-        pairs = iter(occurrences)
-        rsu[z] = sum(records[i].pos_suffix[p] for i, p in zip(pairs, pairs))
+    tails = [0] * len(records)
+    for z in sorted(buckets, reverse=True):
+        total = 0
+        pairs = iter(buckets[z])
+        for i, p in zip(pairs, pairs):
+            tail = tails[i] + records[i].utilities[p]
+            tails[i] = tail
+            total += tail
+        rsu[z] = total
     return rsu
 
 

@@ -36,7 +36,7 @@ def _load(path: str, lenient: bool) -> tuple[UtilityDatabase, str]:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")  # a leading byte-order mark is not data
     except UnicodeDecodeError as exc:
         raise DatabaseError(f"{path} is not UTF-8 text: {exc}") from None
     db = parse_spmf(text, strict=not lenient)

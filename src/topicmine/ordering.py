@@ -23,7 +23,10 @@ database projection).
 
 A projected database keeps its views as parallel lists (record, offset,
 prefix utility, positive prefix), not as one object per view, and a view's
-merge weight lives on its record; a bucket names a view by its index.
+merge weight lives on its record; a bucket names a view by its index. A
+record holds only its items and utilities, as two exact-size tuples, and no
+per-position table: the bound scans sum a view's remaining utility as they
+walk it (:mod:`topicmine.bounds`).
 """
 from __future__ import annotations
 
@@ -56,14 +59,15 @@ def remap_database(db: UtilityDatabase, order: TotalOrder, keep: set[int]) -> li
     """Build the root's records: drop items (dense ids) outside ``keep``,
     drop emptied transactions, rename items to their ranks in ascending
     order, and sort the records backward-lexicographically (shorter suffix
-    first). Rows are sorted before any :class:`Record` exists, so no sort key
-    lives beside the records' ``pos_suffix`` lists."""
+    first). Each row is read from one ``{rank: utility}`` dict per
+    transaction into two exact-size tuples."""
     rank = order.rank
     rows = []
     for t in db.transactions:
-        pairs = sorted((rank[i], u) for i, u in zip(t.items, t.utilities) if i in keep)
-        if pairs:
-            rows.append([[p[0] for p in pairs], [p[1] for p in pairs]])
+        row = {rank[i]: u for i, u in zip(t.items, t.utilities) if i in keep}
+        if row:
+            items = tuple(sorted(row))
+            rows.append((items, tuple(map(row.__getitem__, items))))
     rows.sort(key=lambda row: row[0][::-1])
     return [Record(items, utils) for items, utils in rows]
 
@@ -73,23 +77,17 @@ class Record:
 
     The root's records come from :func:`remap_database`, merged ones from
     :func:`merge_identical` (by :func:`_fold`); :func:`project` makes none.
-    ``items`` are ranks, ascending.
-    ``pos_suffix[i]`` is the sum of positive utilities at positions >= i (the
-    remaining-utility lookup). ``weight`` is the merge multiplicity: 1 for a
-    source transaction, the sum of the merged records' weights otherwise.
-    Every view of a record shares it.
+    ``items`` are ranks, ascending, and ``utilities`` their utilities, both
+    as tuples: every view of a record shares it, and nothing changes it.
+    ``weight`` is the merge multiplicity: 1 for a source transaction, the
+    sum of the merged records' weights otherwise.
     """
 
-    __slots__ = ("items", "utilities", "pos_suffix", "weight")
+    __slots__ = ("items", "utilities", "weight")
 
     def __init__(self, items, utilities, weight=1):
         self.items = items
         self.utilities = utilities
-        suffix = [0] * (len(items) + 1)
-        for i in range(len(items) - 1, -1, -1):
-            u = utilities[i]
-            suffix[i] = suffix[i + 1] + (u if u > 0 else 0)
-        self.pos_suffix = suffix
         self.weight = weight
 
 
@@ -183,7 +181,7 @@ def project(pdb: ProjectedDatabase, x: int, occurrences) -> ProjectedDatabase:
     return ProjectedDatabase(out_records, out_offsets, out_prefixes, out_pos, support)
 
 
-def _fold(records: list[Record], offsets: list[int], key: list[int], group: list) -> int:
+def _fold(records: list[Record], offsets: list[int], key: tuple[int, ...], group: list) -> int:
     """Fold the views of ``group`` (flat record, offset pairs) into the last
     view of ``records``/``offsets``: each of them has the suffix ``key``, so
     the last view becomes one record of ``key`` at offset 0 with the
@@ -195,7 +193,7 @@ def _fold(records: list[Record], offsets: list[int], key: list[int], group: list
     weight = rec.weight
     members = iter(group)
     for other, offset in zip(members, members):
-        utils[:] = map(add, utils, other.utilities[offset:])  # keeps the list's exact size
+        utils = tuple(map(add, utils, other.utilities[offset:]))
         weight += other.weight
     records[-1] = Record(key, utils, weight)
     offsets[-1] = 0
@@ -207,35 +205,42 @@ def merge_identical(pdb: ProjectedDatabase) -> ProjectedDatabase:
     every built child are merged this way.
 
     Requires ``pdb`` to be backward-lexicographically sorted so identical
-    suffixes are adjacent. Returns ``pdb`` itself when no two neighbouring
-    views share a suffix.
+    suffixes are adjacent. The merged view lists start at the first fold,
+    and each run of views that folds nothing is copied as one slice, so a
+    view is never copied one by one. Returns ``pdb`` itself when no two
+    neighbouring views share a suffix.
     """
+    records = pdb.records
+    offsets = pdb.offsets
+    prefixes = pdb.prefixes
+    pos_prefixes = pdb.pos_prefixes
     out_records = []
     out_offsets = []
     out_prefixes = []
     out_pos = []
-    folded = 0
+    folded = copied = 0
     group = []
     last = start = length = key = None
-    for rec, offset, prefix, pos_prefix in zip(pdb.records, pdb.offsets, pdb.prefixes,
-                                               pdb.pos_prefixes):
+    for i, (rec, offset) in enumerate(zip(records, offsets)):
         items = rec.items
         n = len(items) - offset
         if n == length and items[offset] == last[start]:
             if key is None:
                 key = last[start:]
             if items[offset:] == key:
+                if copied < i:
+                    out_records += records[copied:i]
+                    out_offsets += offsets[copied:i]
+                    out_prefixes += prefixes[copied:i]
+                    out_pos += pos_prefixes[copied:i]
+                copied = i + 1
                 group += (rec, offset)
-                out_prefixes[-1] += prefix
-                out_pos[-1] += pos_prefix
+                out_prefixes[-1] += prefixes[i]
+                out_pos[-1] += pos_prefixes[i]
                 continue
         if group:
             folded += _fold(out_records, out_offsets, key, group)
             group = []
-        out_records.append(rec)
-        out_offsets.append(offset)
-        out_prefixes.append(prefix)
-        out_pos.append(pos_prefix)
         last = items
         start = offset
         length = n
@@ -244,5 +249,9 @@ def merge_identical(pdb: ProjectedDatabase) -> ProjectedDatabase:
         folded += _fold(out_records, out_offsets, key, group)
     if not folded:
         return pdb
+    out_records += records[copied:]
+    out_offsets += offsets[copied:]
+    out_prefixes += prefixes[copied:]
+    out_pos += pos_prefixes[copied:]
     return ProjectedDatabase(out_records, out_offsets, out_prefixes, out_pos, pdb.support,
                              folded)

@@ -83,7 +83,7 @@ def reference_bounds(pdb):
     rlu: dict[int, int] = {}
     rsu: dict[int, int] = {}
     for rec, offset, prefix, _, _ in view_fields(pdb):
-        base = prefix + rec.pos_suffix[offset]
+        base = prefix + sum(u for u in rec.utilities[offset:] if u > 0)
         tail = 0
         for p in range(len(rec.items) - 1, offset - 1, -1):
             u = rec.utilities[p]

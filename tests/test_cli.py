@@ -48,6 +48,17 @@ class TestMine:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "UTF-8" in err
 
+    def test_byte_order_mark_and_crlf_lines(self, example_file, tmp_path, capsys):
+        marked = tmp_path / "marked.spmf"
+        marked.write_bytes(b"\xef\xbb\xbf" + EXAMPLE_TEXT.replace("\n", "\r\n").encode())
+        reports = []
+        for path in (example_file, str(marked)):
+            assert main(["mine", "--input", path, "--k", "5", "--format", "json"]) == EXIT_OK
+            reports.append(json.loads(capsys.readouterr().out)["result"])
+        plain, bom = reports
+        assert bom["top_k"] == plain["top_k"] and len(bom["top_k"]) == 5
+        assert bom["final_min_util"] == plain["final_min_util"]
+
     def test_variant_none_same_itemsets_more_candidates(self, example_file, capsys):
         main(["mine", "--input", example_file, "--k", "5", "--variant", "full"])
         full = json.loads(capsys.readouterr().out)

@@ -9,7 +9,7 @@ from helpers import (
 )
 
 from topicmine import compute_item_summaries, generate_synthetic, parse_spmf
-from topicmine.bounds import compute_bounds
+from topicmine.bounds import compute_bounds, compute_rsu
 from topicmine.database import Transaction
 from topicmine.ordering import (
     Record,
@@ -70,7 +70,7 @@ class TestRemap:
         rdb, order = remapped_example(example_db)
         assert len(rdb) == 6
         for rec in rdb:
-            assert rec.items == sorted(rec.items)
+            assert rec.items == tuple(sorted(rec.items))
         want = sorted(sorted(zip(t.items, t.utilities)) for t in example_db.transactions)
         assert as_id_pairs(rdb, order) == want
 
@@ -90,15 +90,14 @@ class TestRemap:
     def test_dropped_items_recompute_tu(self, example_db, ids):
         order = canonical(example_db)
         rdb = remap_database(example_db, order, {ids["D"]})
-        assert all(rec.items == [order.rank[ids["D"]]] for rec in rdb)
-        assert sorted(sum(rec.utilities) for rec in rdb) == [12, 30, 36, 36]
-        assert all(rec.pos_suffix[0] == sum(rec.utilities) for rec in rdb)
+        assert all(rec.items == (order.rank[ids["D"]],) for rec in rdb)
+        assert sorted(rec.utilities for rec in rdb) == [(12,), (30,), (36,), (36,)]
 
     @pytest.mark.parametrize("dropping", [False, True], ids=["keep-all", "keep-some"])
     def test_root_records(self, dropping):
         # every record is a source transaction restricted to ``keep``, renamed
-        # to ascending ranks, with weight 1 and its positive tail sums; the
-        # records run in backward-lexicographic order
+        # to ascending ranks, held as two tuples of one size, with weight 1;
+        # the records run in backward-lexicographic order
         for seed in range(12):
             for nf in (0.0, 0.3, 0.6):
                 db = campaign_db(seed, nf)
@@ -107,16 +106,36 @@ class TestRemap:
                 rdb = remap_database(db, order, keep)
                 for rec in rdb:
                     assert all(a < b for a, b in zip(rec.items, rec.items[1:]))
+                    assert type(rec.items) is type(rec.utilities) is tuple
+                    assert len(rec.items) == len(rec.utilities)
                     assert rec.weight == 1
-                    tails = [0]
-                    for u in reversed(rec.utilities):
-                        tails.append(tails[-1] + max(u, 0))
-                    assert rec.pos_suffix == tails[::-1]
                 for before, after in zip(rdb, rdb[1:]):
                     assert before.items[::-1] <= after.items[::-1]
                 restricted = ([(i, u) for i, u in zip(t.items, t.utilities) if i in keep]
                               for t in db.transactions)
                 assert as_id_pairs(rdb, order) == sorted(pairs for pairs in restricted if pairs)
+
+    @pytest.mark.parametrize("merged", [False, True], ids=["unmerged", "merged"])
+    @pytest.mark.parametrize("dropping", [False, True], ids=["keep-all", "keep-some"])
+    def test_root_rsu_sums_positive_tails(self, dropping, merged):
+        # the root's RSU of a positive rank z is the sum, over the views
+        # holding z, of the positive utilities from z to the view's end
+        for seed in range(12):
+            for nf in (0.0, 0.3, 0.6):
+                db = campaign_db(seed, nf)
+                order = build_total_order(compute_item_summaries(db))
+                cutoff = order.positive_cutoff
+                keep = {i for i in range(db.item_count) if not (dropping and i % 3 == 1)}
+                root = build_root(remap_database(db, order, keep))
+                if merged:
+                    root = merge_identical(root)
+                expected = [0] * cutoff
+                for rec in root.records:
+                    for p, z in enumerate(rec.items):
+                        if z < cutoff:
+                            expected[z] += sum(u for u in rec.utilities[p:] if u > 0)
+                buckets = deliver(root, set(range(cutoff)))
+                assert compute_rsu(root, buckets, cutoff) == expected
 
 
 class TestProject:
@@ -220,6 +239,30 @@ class TestDeliver:
         assert deliver(child, {r["B"]}) == {}
 
 
+def reference_merge(pdb):
+    """Each view of ``pdb`` merged by a plain grouping of neighbouring views
+    with equal suffixes: ``(suffix items, suffix utilities, prefix, positive
+    prefix, weight)``, summed over each group, in view order."""
+    groups = []
+    for rec, offset, prefix, pos_prefix, weight in view_fields(pdb):
+        suffix = tuple(rec.items[offset:])
+        if groups and groups[-1][0] == suffix:
+            groups[-1][1].append((rec.utilities[offset:], prefix, pos_prefix, weight))
+        else:
+            groups.append((suffix, [(rec.utilities[offset:], prefix, pos_prefix, weight)]))
+    return [(suffix,
+             tuple(sum(column) for column in zip(*(utils for utils, *_ in members))),
+             sum(m[1] for m in members), sum(m[2] for m in members),
+             sum(m[3] for m in members))
+            for suffix, members in groups]
+
+
+def merged_views(pdb):
+    return [(tuple(rec.items[offset:]), tuple(rec.utilities[offset:]), prefix, pos_prefix,
+             weight)
+            for rec, offset, prefix, pos_prefix, weight in view_fields(pdb)]
+
+
 class TestMerge:
     def test_identical_full_transactions(self, example_db, ids):
         root, r = example_root(example_db, ids)
@@ -268,6 +311,42 @@ class TestMerge:
                     unchanged += 1
                 folded += after.folded
         assert folded > 0 and unchanged > 0
+
+    def test_late_first_fold_equals_reference(self):
+        # the first identical pair comes after several views that fold
+        # nothing, and more such views sit between the two folded groups
+        db = parse_spmf("1 2:3:1 2\n1 3:4:1 3\n2 3:5:2 3\n1 2 3:6:1 2 3\n"
+                        "1 2 3:6:1 2 3\n1 2 3:6:1 2 3\n2 4:6:2 4\n1 4:5:1 4\n1 4:5:1 4\n"
+                        "3 4:7:3 4\n1 2 3 4:10:1 2 3 4\n1 2 3 4:10:1 2 3 4")
+        order = build_total_order(compute_item_summaries(db))
+        root = build_root(remap_database(db, order, db.positive_items))
+        suffixes = [rec.items for rec in root.records]
+        folds = [i for i in range(1, len(suffixes)) if suffixes[i] == suffixes[i - 1]]
+        assert folds == [4, 8, 9, 11]
+        merged = merge_identical(root)
+        assert merged_views(merged) == reference_merge(root)
+        assert merged.folded == 4 == len(root.records) - len(merged.records)
+        assert merged.support == root.support
+        # a view that folds nothing keeps its parent's record
+        kept = [rec for rec in merged.records if rec.weight == 1]
+        assert all(any(rec is old for old in root.records) for rec in kept)
+
+    @pytest.mark.parametrize("merged", [False, True], ids=["unmerged", "merged"])
+    def test_children_merge_like_reference(self, merged):
+        # merging every child of a node of depth <= 1 gives the views of a
+        # plain reference merge, and leaves every record of the node, which
+        # its children share, as it was
+        for db, _, prefix, pdb in campaign_nodes(merged):
+            if len(prefix) > 1:
+                continue
+            snapshot = [(rec, tuple(rec.items), tuple(rec.utilities), rec.weight)
+                        for rec in pdb.records]
+            last = prefix[-1] if prefix else -1
+            for z, occurrences in deliver(pdb, set(range(last + 1, db.item_count))).items():
+                child = project(pdb, z, occurrences)
+                assert merged_views(merge_identical(child)) == reference_merge(child)
+            assert [(rec, tuple(rec.items), tuple(rec.utilities), rec.weight)
+                    for rec in pdb.records] == snapshot
 
 
 class TestLayout:
