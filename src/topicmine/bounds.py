@@ -13,12 +13,11 @@ fills only the bound its search prunes by: RSU with subtree pruning on, RLU
 without it. Ranks put every positive item before every negative one, so
 each view's suffix splits at the first rank of a negative item: the RLU/RSU
 scan reads only the positions before that split and the cap scan only those
-from it on. Records store no suffix sums: the RSU scan walks a view's
-positive positions backward with a running remaining utility, as EFIM
-does, and RLU sums them once per view. The root has no parent bucket; its
-RSU (:func:`compute_rsu`) and its pair utilities (:func:`compute_pair_rows`)
-are read from its own buckets, the same delivery its search pops its
-children from."""
+from it on. The RSU scan walks a view's positive positions backward with a
+running remaining utility, as EFIM does, and RLU sums them once per view.
+The root has no parent bucket; its RSU (:func:`compute_rsu`) and its pair
+utilities (:func:`compute_pair_rows`) are read from its own buckets, the
+same delivery its search pops its children from."""
 from __future__ import annotations
 
 from bisect import bisect_left

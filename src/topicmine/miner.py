@@ -145,8 +145,9 @@ class _Search:
         its one delivery of the ``wanted`` items; the parent subtracts the
         alive views again when it leaves the node."""
         if self.config.enable_merging:
+            views = len(pdb.records)
             pdb = merge_identical(pdb)
-        self.stats.merges += pdb.folded
+            self.stats.merges += views - len(pdb.records)
         self.live_views += len(pdb.records)
         if self.live_views > self.stats.peak_entries:
             self.stats.peak_entries = self.live_views

@@ -22,11 +22,10 @@ of the root and of every built child (EFIM's transaction merging after its
 database projection).
 
 A projected database keeps its views as parallel lists (record, offset,
-prefix utility, positive prefix), not as one object per view, and a view's
-merge weight lives on its record; a bucket names a view by its index. A
-record holds only its items and utilities, as two exact-size tuples, and no
-per-position table: the bound scans sum a view's remaining utility as they
-walk it (:mod:`topicmine.bounds`).
+prefix utility, positive prefix), and a view's merge weight lives on its
+record; a bucket names a view by its index. A record holds only its items
+and utilities, as two exact-size tuples: the bound scans sum a view's
+remaining utility as they walk it (:mod:`topicmine.bounds`).
 """
 from __future__ import annotations
 
@@ -62,21 +61,21 @@ def remap_database(db: UtilityDatabase, order: TotalOrder, keep: set[int]) -> li
     first). Each row is read from one ``{rank: utility}`` dict per
     transaction into two exact-size tuples."""
     rank = order.rank
-    rows = []
+    records = []
     for t in db.transactions:
         row = {rank[i]: u for i, u in zip(t.items, t.utilities) if i in keep}
         if row:
             items = tuple(sorted(row))
-            rows.append((items, tuple(map(row.__getitem__, items))))
-    rows.sort(key=lambda row: row[0][::-1])
-    return [Record(items, utils) for items, utils in rows]
+            records.append(Record(items, tuple(map(row.__getitem__, items))))
+    records.sort(key=lambda rec: rec.items[::-1])
+    return records
 
 
 class Record:
     """Backing storage for projected views: one (possibly merged) transaction.
 
     The root's records come from :func:`remap_database`, merged ones from
-    :func:`merge_identical` (by :func:`_fold`); :func:`project` makes none.
+    :func:`merge_identical`; :func:`project` makes none.
     ``items`` are ranks, ascending, and ``utilities`` their utilities, both
     as tuples: every view of a record shares it, and nothing changes it.
     ``weight`` is the merge multiplicity: 1 for a source transaction, the
@@ -101,20 +100,17 @@ class ProjectedDatabase:
     positive-item part of it, which upper-bounds what any negative-extension
     subtree can still achieve there and survives merging additively. Every
     kept offset lies strictly inside its record. ``support`` counts
-    supporting source transactions (merge weights included). ``folded``
-    counts the views that :func:`merge_identical` folded into others to
-    make this projection.
+    supporting source transactions (merge weights included).
     """
 
-    __slots__ = ("records", "offsets", "prefixes", "pos_prefixes", "support", "folded")
+    __slots__ = ("records", "offsets", "prefixes", "pos_prefixes", "support")
 
-    def __init__(self, records, offsets, prefixes, pos_prefixes, support=0, folded=0):
+    def __init__(self, records, offsets, prefixes, pos_prefixes, support):
         self.records = records
         self.offsets = offsets
         self.prefixes = prefixes
         self.pos_prefixes = pos_prefixes
         self.support = support
-        self.folded = folded
 
     @property
     def views(self) -> list[Record]:
@@ -181,34 +177,19 @@ def project(pdb: ProjectedDatabase, x: int, occurrences) -> ProjectedDatabase:
     return ProjectedDatabase(out_records, out_offsets, out_prefixes, out_pos, support)
 
 
-def _fold(records: list[Record], offsets: list[int], key: tuple[int, ...], group: list) -> int:
-    """Fold the views of ``group`` (flat record, offset pairs) into the last
-    view of ``records``/``offsets``: each of them has the suffix ``key``, so
-    the last view becomes one record of ``key`` at offset 0 with the
-    utilities and merge weights of all of them summed (the summed utilities
-    of one item share its sign). The caller sums the prefix utilities.
-    Returns the number of views folded away."""
-    rec = records[-1]
-    utils = rec.utilities[offsets[-1]:]
-    weight = rec.weight
-    members = iter(group)
-    for other, offset in zip(members, members):
-        utils = tuple(map(add, utils, other.utilities[offset:]))
-        weight += other.weight
-    records[-1] = Record(key, utils, weight)
-    offsets[-1] = 0
-    return len(group) // 2
-
-
 def merge_identical(pdb: ProjectedDatabase) -> ProjectedDatabase:
     """Coalesce consecutive views with identical item suffixes; the root and
     every built child are merged this way.
 
     Requires ``pdb`` to be backward-lexicographically sorted so identical
-    suffixes are adjacent. The merged view lists start at the first fold,
-    and each run of views that folds nothing is copied as one slice, so a
-    view is never copied one by one. Returns ``pdb`` itself when no two
-    neighbouring views share a suffix.
+    suffixes are adjacent. A view whose suffix equals that of the last kept
+    view is folded into it at once: the kept view becomes one record of the
+    suffix at offset 0, with the utilities, merge weights and prefix
+    utilities of both summed (the summed utilities of one item share its
+    sign). The merged view lists start at the first fold, and each run of
+    views that folds nothing is copied as one slice, so a view is never
+    copied one by one. Returns ``pdb`` itself when no two neighbouring
+    views share a suffix.
     """
     records = pdb.records
     offsets = pdb.offsets
@@ -218,40 +199,36 @@ def merge_identical(pdb: ProjectedDatabase) -> ProjectedDatabase:
     out_offsets = []
     out_prefixes = []
     out_pos = []
-    folded = copied = 0
-    group = []
-    last = start = length = key = None
+    copied = 0
+    last = start = length = None
     for i, (rec, offset) in enumerate(zip(records, offsets)):
         items = rec.items
         n = len(items) - offset
         if n == length and items[offset] == last[start]:
-            if key is None:
-                key = last[start:]
-            if items[offset:] == key:
+            suffix = items[offset:]
+            if suffix == last[start:]:
                 if copied < i:
                     out_records += records[copied:i]
                     out_offsets += offsets[copied:i]
                     out_prefixes += prefixes[copied:i]
                     out_pos += pos_prefixes[copied:i]
                 copied = i + 1
-                group += (rec, offset)
+                head = out_records[-1]
+                utilities = map(add, head.utilities[out_offsets[-1]:], rec.utilities[offset:])
+                out_records[-1] = Record(suffix, tuple(utilities), head.weight + rec.weight)
+                out_offsets[-1] = 0
                 out_prefixes[-1] += prefixes[i]
                 out_pos[-1] += pos_prefixes[i]
+                last = suffix
+                start = 0
                 continue
-        if group:
-            folded += _fold(out_records, out_offsets, key, group)
-            group = []
         last = items
         start = offset
         length = n
-        key = None
-    if group:
-        folded += _fold(out_records, out_offsets, key, group)
-    if not folded:
+    if not out_records:
         return pdb
     out_records += records[copied:]
     out_offsets += offsets[copied:]
     out_prefixes += prefixes[copied:]
     out_pos += pos_prefixes[copied:]
-    return ProjectedDatabase(out_records, out_offsets, out_prefixes, out_pos, pdb.support,
-                             folded)
+    return ProjectedDatabase(out_records, out_offsets, out_prefixes, out_pos, pdb.support)

@@ -88,9 +88,6 @@ class TopKStore:
         worst = heap[0]
         return worst.utility != bound or prefix < worst.itemset
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
     def results(self) -> list[tuple[tuple[int, ...], int]]:
         """Entries sorted by utility descending, ties by ascending sorted
         itemset; itemsets are emitted sorted."""

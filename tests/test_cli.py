@@ -188,3 +188,31 @@ class TestOracleCommand:
         assert main(["oracle", "--input", example_file, "--k", "5"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["top_k"][0] == {"items": [4], "utility": 114}
+
+
+class TestErrorExits:
+    """Failures the input or the file system cause exit 1 with one line."""
+
+    @staticmethod
+    def assert_one_error_line(err: str, text: str) -> None:
+        assert err.startswith("error: ") and text in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.spmf"
+        assert main(["mine", "--input", str(missing), "--k", "5"]) == EXIT_DATA_ERROR == 1
+        self.assert_one_error_line(capsys.readouterr().err, str(missing))
+
+    def test_missing_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.spmf"
+        args = ["gen", "--transactions", "10", "--items", "5", "--avg-len", "2",
+                "--output", str(out)]
+        assert main(args) == EXIT_DATA_ERROR
+        self.assert_one_error_line(capsys.readouterr().err, str(out))
+
+    @pytest.mark.parametrize("command", ["oracle", "verify"])
+    def test_too_many_items_for_oracle(self, tmp_path, capsys, command):
+        wide = tmp_path / "wide.spmf"
+        wide.write_text("".join(f"{i}:1:1\n" for i in range(1, 31)))
+        assert main([command, "--input", str(wide), "--k", "5"]) == EXIT_DATA_ERROR
+        self.assert_one_error_line(capsys.readouterr().err, "exceeds the oracle cap of 24")

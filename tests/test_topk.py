@@ -28,7 +28,7 @@ class TestOffer:
     def test_below_capacity_keeps_floor(self):
         store = TopKStore(3)
         assert store.offer((3,), 114) == 1
-        assert len(store) == 1
+        assert len(store.results()) == 1
 
     def test_full_store_rejects_below_kth(self):
         store = TopKStore(5)
