@@ -3,8 +3,9 @@ exact single-item and pair utilities used for threshold raising.
 
 A child's exact utility and bounds are read from its parent's occurrence
 bucket (:func:`topicmine.ordering.deliver`) before the child is built: each
-occurrence ``(view index, position)`` is one view of the child, starting
-after the position with the parent's prefix utility plus the item's. All
+occurrence ``(view index, position)`` indexes the parent's ``items`` and
+``utilities`` lists and is one view of the child, starting after the
+position with the parent's prefix utility plus the item's. All
 three quantities are sums of per-view terms, and merging only adds views'
 terms together, so they equal the scans of the built child, merged or not,
 and a child that will not be searched is never built. Bound maps are plain
@@ -46,14 +47,14 @@ def compute_bounds(pdb: ProjectedDatabase, occurrences, cutoff: int,
     and it occurs (RSU > 0, already implied by RLU >= 1), needs only RLU."""
     bound = [0] * cutoff
     utility = 0
-    records = pdb.records
+    item_rows = pdb.items
+    utility_rows = pdb.utilities
     prefixes = pdb.prefixes
     pairs = iter(occurrences)
     if subtree:
         for i, p in zip(pairs, pairs):
-            rec = records[i]
-            items = rec.items
-            utils = rec.utilities
+            items = item_rows[i]
+            utils = utility_rows[i]
             total = prefixes[i] + utils[p]
             utility += total
             # every position before the split holds a positive item
@@ -62,9 +63,8 @@ def compute_bounds(pdb: ProjectedDatabase, occurrences, cutoff: int,
                 bound[items[q]] += total
     else:
         for i, p in zip(pairs, pairs):
-            rec = records[i]
-            items = rec.items
-            utils = rec.utilities
+            items = item_rows[i]
+            utils = utility_rows[i]
             prefix = prefixes[i] + utils[p]
             utility += prefix
             p += 1
@@ -84,13 +84,13 @@ def compute_rsu(root: ProjectedDatabase, buckets: dict[int, list], cutoff: int) 
     read, the view's tail already holds the utilities of every positive
     item after z there, and each occurrence adds its utility once."""
     rsu = [0] * cutoff
-    records = root.records
-    tails = [0] * len(records)
+    utility_rows = root.utilities
+    tails = [0] * len(utility_rows)
     for z in sorted(buckets, reverse=True):
         total = 0
         pairs = iter(buckets[z])
         for i, p in zip(pairs, pairs):
-            tail = tails[i] + records[i].utilities[p]
+            tail = tails[i] + utility_rows[i][p]
             tails[i] = tail
             total += tail
         rsu[z] = total
@@ -111,14 +111,14 @@ def compute_negative_caps(pdb: ProjectedDatabase, occurrences, cutoff: int,
     sum of per-view quantities, so it is unchanged by transaction merging."""
     caps = [0] * n
     utility = 0
-    records = pdb.records
+    item_rows = pdb.items
+    utility_rows = pdb.utilities
     prefixes = pdb.prefixes
     pos_prefixes = pdb.pos_prefixes
     pairs = iter(occurrences)
     for i, p in zip(pairs, pairs):
-        rec = records[i]
-        items = rec.items
-        u = rec.utilities[p]
+        items = item_rows[i]
+        u = utility_rows[i][p]
         utility += prefixes[i] + u
         base = pos_prefixes[i] + (u if u > 0 else 0)
         for q in range(bisect_left(items, cutoff, p + 1), len(items)):
@@ -139,14 +139,14 @@ def compute_pair_rows(
     ``buckets`` (the root's delivery), yield ``(a, row)`` where ``row[b]``
     is U({a, b}) for every item b ranked after a in a view holding a. The
     buckets are read, not consumed, and only one row is alive at a time."""
-    records = root.records
+    item_rows = root.items
+    utility_rows = root.utilities
     for a in sorted(set(firsts) & buckets.keys()):
         row: dict[int, int] = {}
         pairs = iter(buckets[a])
         for i, p in zip(pairs, pairs):
-            rec = records[i]
-            items = rec.items
-            utils = rec.utilities
+            items = item_rows[i]
+            utils = utility_rows[i]
             ua = utils[p]
             for q in range(p + 1, len(items)):
                 b = items[q]

@@ -43,8 +43,8 @@ class Transaction:
     """One input transaction: parallel item/utility lists plus the cached total.
 
     ``items`` holds dense item ids in ascending order; ``tu`` is always the
-    exact sum of ``utilities``. The miner reads it only while building its
-    own records (``ordering.remap_database``).
+    exact sum of ``utilities``. The miner reads transactions only to sum
+    item summaries and to build the root's rows (``ordering.remap_database``).
     """
 
     tid: int
@@ -160,14 +160,14 @@ def parse_spmf(text: str, strict: bool = True) -> UtilityDatabase:
 def write_spmf(db: UtilityDatabase) -> str:
     """Serialize a database back to SPMF utility format.
 
-    Items are written in ascending raw-label order so that
-    ``parse_spmf(write_spmf(db))`` reproduces the database exactly.
+    Items are written in stored order, ascending dense id, which is
+    ascending raw-label order, so ``parse_spmf(write_spmf(db))`` reproduces
+    the database exactly.
     """
     lines = []
     for t in db.transactions:
-        pairs = sorted((db.labels[i], u) for i, u in zip(t.items, t.utilities))
-        items = " ".join(str(lab) for lab, _ in pairs)
-        utils = " ".join(str(u) for _, u in pairs)
+        items = " ".join(str(db.labels[i]) for i in t.items)
+        utils = " ".join(map(str, t.utilities))
         lines.append(f"{items}:{t.tu}:{utils}")
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -145,10 +145,10 @@ class _Search:
         its one delivery of the ``wanted`` items; the parent subtracts the
         alive views again when it leaves the node."""
         if self.config.enable_merging:
-            views = len(pdb.records)
+            views = len(pdb.items)
             pdb = merge_identical(pdb)
-            self.stats.merges += views - len(pdb.records)
-        self.live_views += len(pdb.records)
+            self.stats.merges += views - len(pdb.items)
+        self.live_views += len(pdb.items)
         if self.live_views > self.stats.peak_entries:
             self.stats.peak_entries = self.live_views
         return pdb, deliver(pdb, set(wanted))
@@ -224,7 +224,7 @@ class _Search:
                 child, child_buckets = self._enter(project(pdb, z, occurrences), extensions)
                 stats.projections += 1
                 yield self.search(beta, child, child_buckets, extensions, child_bound)
-                self.live_views -= len(child.records)
+                self.live_views -= len(child.items)
 
 
 def _item_and_pair_utilities(summaries: list[ItemSummary], order: TotalOrder,

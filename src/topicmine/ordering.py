@@ -2,14 +2,14 @@
 
 The processing order puts positive items before negative ones; within each
 sign class items ascend by RTWU with raw-label ties broken ascending.
-:func:`remap_database` turns the input transactions into the root's
-:class:`Record` arrays in one step, renaming every item to its rank in that
-order, so all records and views below it hold ranks, and an item precedes
-another exactly when its id is smaller. Every item has one fixed sign and no
-utility is zero, so an occurrence's sign is read from its utility. Records
-are sorted backward-lexicographically so that identical projected suffixes
-end up adjacent, and they stay so under projection, which lets merging fold
-each view into the previous one in one pass over the views.
+:func:`remap_database` turns the input transactions into the root's rows
+in one step, renaming every item to its rank in that order, so all rows and
+views below it hold ranks, and an item precedes another exactly when its id
+is smaller. Every item has one fixed sign and no utility is zero, so an
+occurrence's sign is read from its utility. Rows are sorted
+backward-lexicographically so that identical projected suffixes end up
+adjacent, and they stay so under projection, which lets merging fold each
+view into the previous one in one pass over the views.
 
 Children of a search node come from one pass over its views' suffixes
 (occurrence delivery, as in LCM ver. 2): :func:`deliver` buckets every
@@ -21,11 +21,11 @@ never candidates. :func:`merge_identical` then merges the identical views
 of the root and of every built child (EFIM's transaction merging after its
 database projection).
 
-A projected database keeps its views as parallel lists (record, offset,
-prefix utility, positive prefix), and a view's merge weight lives on its
-record; a bucket names a view by its index. A record holds only its items
-and utilities, as two exact-size tuples: the bound scans sum a view's
-remaining utility as they walk it (:mod:`topicmine.bounds`).
+A projected database keeps its views as five parallel lists (items,
+utilities, offset, prefix utility, positive prefix); a bucket names a view
+by its index. A view's items and utilities are its transaction's two
+exact-size tuples, with no per-position table: the bound scans sum a
+view's remaining utility as they walk it (:mod:`topicmine.bounds`).
 """
 from __future__ import annotations
 
@@ -54,75 +54,66 @@ def build_total_order(summaries: list[ItemSummary]) -> TotalOrder:
     return TotalOrder(rank, ordered, len(positives))
 
 
-def remap_database(db: UtilityDatabase, order: TotalOrder, keep: set[int]) -> list[Record]:
-    """Build the root's records: drop items (dense ids) outside ``keep``,
-    drop emptied transactions, rename items to their ranks in ascending
-    order, and sort the records backward-lexicographically (shorter suffix
-    first). Each row is read from one ``{rank: utility}`` dict per
-    transaction into two exact-size tuples."""
+def remap_database(db: UtilityDatabase, order: TotalOrder,
+                   keep: set[int]) -> tuple[list[tuple], list[tuple]]:
+    """Build the root's rows as two lists, ``(items, utilities)``: drop
+    items (dense ids) outside ``keep``, drop emptied transactions, rename
+    items to their ranks in ascending order, and sort the rows
+    backward-lexicographically (shorter suffix first). Each row is read from
+    one ``{rank: utility}`` dict per transaction into two exact-size
+    tuples."""
     rank = order.rank
-    records = []
+    rows = []
     for t in db.transactions:
         row = {rank[i]: u for i, u in zip(t.items, t.utilities) if i in keep}
         if row:
             items = tuple(sorted(row))
-            records.append(Record(items, tuple(map(row.__getitem__, items))))
-    records.sort(key=lambda rec: rec.items[::-1])
-    return records
-
-
-class Record:
-    """Backing storage for projected views: one (possibly merged) transaction.
-
-    The root's records come from :func:`remap_database`, merged ones from
-    :func:`merge_identical`; :func:`project` makes none.
-    ``items`` are ranks, ascending, and ``utilities`` their utilities, both
-    as tuples: every view of a record shares it, and nothing changes it.
-    ``weight`` is the merge multiplicity: 1 for a source transaction, the
-    sum of the merged records' weights otherwise.
-    """
-
-    __slots__ = ("items", "utilities", "weight")
-
-    def __init__(self, items, utilities, weight=1):
-        self.items = items
-        self.utilities = utilities
-        self.weight = weight
+            rows.append((items, tuple(map(row.__getitem__, items))))
+    rows.sort(key=lambda pair: pair[0][::-1])
+    return [items for items, _ in rows], [utilities for _, utilities in rows]
 
 
 class ProjectedDatabase:
-    """A prefix itemset's view set over the root's records.
+    """A prefix itemset's view set over the root's transactions.
 
-    View ``i`` is stored across four parallel lists, with no object of its
-    own: items of ``records[i]`` at positions >= ``offsets[i]`` extend the
-    current prefix, ``prefixes[i]`` is the prefix's utility in that
-    (possibly merged) transaction, and ``pos_prefixes[i]`` keeps only the
-    positive-item part of it, which upper-bounds what any negative-extension
-    subtree can still achieve there and survives merging additively. Every
-    kept offset lies strictly inside its record. ``support`` counts
-    supporting source transactions (merge weights included).
+    View ``i`` is stored across five parallel lists, with no object of its
+    own: ``items[i]`` and ``utilities[i]`` are the ranks, ascending, and the
+    utilities of its (possibly merged) transaction, as two exact-size tuples
+    that every view of that transaction shares and nothing changes; the
+    items at positions >= ``offsets[i]`` extend the current prefix,
+    ``prefixes[i]`` is the prefix's utility in that transaction, and
+    ``pos_prefixes[i]`` keeps only the positive-item part of it, which
+    upper-bounds what any negative-extension subtree can still achieve there
+    and survives merging additively. Every kept offset lies strictly inside
+    its transaction.
     """
 
-    __slots__ = ("records", "offsets", "prefixes", "pos_prefixes", "support")
+    __slots__ = ("items", "utilities", "offsets", "prefixes", "pos_prefixes")
 
-    def __init__(self, records, offsets, prefixes, pos_prefixes, support):
-        self.records = records
+    def __init__(self, items, utilities, offsets, prefixes, pos_prefixes):
+        self.items = items
+        self.utilities = utilities
         self.offsets = offsets
         self.prefixes = prefixes
         self.pos_prefixes = pos_prefixes
-        self.support = support
 
     @property
-    def views(self) -> list[Record]:
-        """One entry per view (its record), for sizing and emptiness tests."""
-        return self.records
+    def views(self) -> list[tuple]:
+        """One entry per view (its items); only ``bench/tracing.py`` reads it."""
+        return self.items
+
+    @property
+    def support(self) -> int:
+        """The number of views; only ``bench/tracing.py`` reads it."""
+        return len(self.items)
 
 
-def build_root(records: list[Record]) -> ProjectedDatabase:
-    """Wrap the records of :func:`remap_database` as the empty-prefix
+def build_root(rows: tuple[list[tuple], list[tuple]]) -> ProjectedDatabase:
+    """Wrap the rows of :func:`remap_database` as the empty-prefix
     projection: every view starts at offset 0 with a zero prefix."""
-    n = len(records)
-    return ProjectedDatabase(records, [0] * n, [0] * n, [0] * n, n)
+    items, utilities = rows
+    n = len(items)
+    return ProjectedDatabase(items, utilities, [0] * n, [0] * n, [0] * n)
 
 
 def deliver(pdb: ProjectedDatabase, wanted) -> dict[int, list]:
@@ -132,8 +123,7 @@ def deliver(pdb: ProjectedDatabase, wanted) -> dict[int, list]:
     list slots and no tuple). Items that occur nowhere get no entry."""
     buckets: dict[int, list] = {}
     offsets = pdb.offsets
-    for i, rec in enumerate(pdb.records):
-        items = rec.items
+    for i, items in enumerate(pdb.items):
         for p in range(offsets[i], len(items)):
             item = items[p]
             if item in wanted:
@@ -150,31 +140,32 @@ def project(pdb: ProjectedDatabase, x: int, occurrences) -> ProjectedDatabase:
     fold U(x, view) into each prefix utility.
 
     ``occurrences`` is x's bucket from :func:`deliver` on ``pdb``. Views whose
-    remaining suffix is empty still count toward the new prefix's support
-    but are dropped from the result. Every kept view keeps its parent's
-    record; projection keeps the backward-lexicographic order, so
-    :func:`merge_identical` can merge the result.
+    remaining suffix is empty are dropped. Every kept view keeps its
+    parent's two tuples; projection keeps the backward-lexicographic order,
+    so :func:`merge_identical` can merge the result.
     """
-    records = pdb.records
+    item_rows = pdb.items
+    utility_rows = pdb.utilities
     prefixes = pdb.prefixes
     pos_prefixes = pdb.pos_prefixes
-    out_records = []
+    out_items = []
+    out_utilities = []
     out_offsets = []
     out_prefixes = []
     out_pos = []
-    support = 0
     pairs = iter(occurrences)
     for i, pos in zip(pairs, pairs):
-        rec = records[i]
-        u = rec.utilities[pos]
-        support += rec.weight
+        items = item_rows[i]
+        utils = utility_rows[i]
+        u = utils[pos]
         pos += 1
-        if pos < len(rec.items):
-            out_records.append(rec)
+        if pos < len(items):
+            out_items.append(items)
+            out_utilities.append(utils)
             out_offsets.append(pos)
             out_prefixes.append(prefixes[i] + u)
             out_pos.append(pos_prefixes[i] + (u if u > 0 else 0))
-    return ProjectedDatabase(out_records, out_offsets, out_prefixes, out_pos, support)
+    return ProjectedDatabase(out_items, out_utilities, out_offsets, out_prefixes, out_pos)
 
 
 def merge_identical(pdb: ProjectedDatabase) -> ProjectedDatabase:
@@ -183,39 +174,42 @@ def merge_identical(pdb: ProjectedDatabase) -> ProjectedDatabase:
 
     Requires ``pdb`` to be backward-lexicographically sorted so identical
     suffixes are adjacent. A view whose suffix equals that of the last kept
-    view is folded into it at once: the kept view becomes one record of the
-    suffix at offset 0, with the utilities, merge weights and prefix
-    utilities of both summed (the summed utilities of one item share its
-    sign). The merged view lists start at the first fold, and each run of
-    views that folds nothing is copied as one slice, so a view is never
-    copied one by one. Returns ``pdb`` itself when no two neighbouring
-    views share a suffix.
+    view is folded into it at once: the kept view's tuples become the
+    suffix and the summed utilities at offset 0 (the summed utilities of
+    one item share its sign), and the prefix utilities of both are summed.
+    The merged view lists start at the first fold, and each run of views
+    that folds nothing is copied as one slice, so a view is never copied one
+    by one. Returns ``pdb`` itself when no two neighbouring views share a
+    suffix.
     """
-    records = pdb.records
+    item_rows = pdb.items
+    utility_rows = pdb.utilities
     offsets = pdb.offsets
     prefixes = pdb.prefixes
     pos_prefixes = pdb.pos_prefixes
-    out_records = []
+    out_items = []
+    out_utilities = []
     out_offsets = []
     out_prefixes = []
     out_pos = []
     copied = 0
     last = start = length = None
-    for i, (rec, offset) in enumerate(zip(records, offsets)):
-        items = rec.items
+    for i, (items, offset) in enumerate(zip(item_rows, offsets)):
         n = len(items) - offset
         if n == length and items[offset] == last[start]:
             suffix = items[offset:]
             if suffix == last[start:]:
                 if copied < i:
-                    out_records += records[copied:i]
+                    out_items += item_rows[copied:i]
+                    out_utilities += utility_rows[copied:i]
                     out_offsets += offsets[copied:i]
                     out_prefixes += prefixes[copied:i]
                     out_pos += pos_prefixes[copied:i]
                 copied = i + 1
-                head = out_records[-1]
-                utilities = map(add, head.utilities[out_offsets[-1]:], rec.utilities[offset:])
-                out_records[-1] = Record(suffix, tuple(utilities), head.weight + rec.weight)
+                utilities = map(add, out_utilities[-1][out_offsets[-1]:],
+                                utility_rows[i][offset:])
+                out_items[-1] = suffix
+                out_utilities[-1] = tuple(utilities)
                 out_offsets[-1] = 0
                 out_prefixes[-1] += prefixes[i]
                 out_pos[-1] += pos_prefixes[i]
@@ -225,10 +219,11 @@ def merge_identical(pdb: ProjectedDatabase) -> ProjectedDatabase:
         last = items
         start = offset
         length = n
-    if not out_records:
+    if not out_items:
         return pdb
-    out_records += records[copied:]
+    out_items += item_rows[copied:]
+    out_utilities += utility_rows[copied:]
     out_offsets += offsets[copied:]
     out_prefixes += prefixes[copied:]
     out_pos += pos_prefixes[copied:]
-    return ProjectedDatabase(out_records, out_offsets, out_prefixes, out_pos, pdb.support)
+    return ProjectedDatabase(out_items, out_utilities, out_offsets, out_prefixes, out_pos)

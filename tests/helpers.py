@@ -67,11 +67,9 @@ def project_on(pdb, z):
 
 
 def view_fields(pdb):
-    """``(record, offset, prefix utility, positive prefix, weight)`` of each
-    view of ``pdb``, in view order."""
-    for rec, offset, prefix, pos_prefix in zip(pdb.records, pdb.offsets, pdb.prefixes,
-                                               pdb.pos_prefixes):
-        yield rec, offset, prefix, pos_prefix, rec.weight
+    """``(items, utilities, offset, prefix utility, positive prefix)`` of
+    each view of ``pdb``, in view order."""
+    return zip(pdb.items, pdb.utilities, pdb.offsets, pdb.prefixes, pdb.pos_prefixes)
 
 
 def reference_bounds(pdb):
@@ -82,12 +80,12 @@ def reference_bounds(pdb):
     items receive an RLU; RSU is given for every item."""
     rlu: dict[int, int] = {}
     rsu: dict[int, int] = {}
-    for rec, offset, prefix, _, _ in view_fields(pdb):
-        base = prefix + sum(u for u in rec.utilities[offset:] if u > 0)
+    for items, utilities, offset, prefix, _ in view_fields(pdb):
+        base = prefix + sum(u for u in utilities[offset:] if u > 0)
         tail = 0
-        for p in range(len(rec.items) - 1, offset - 1, -1):
-            u = rec.utilities[p]
-            it = rec.items[p]
+        for p in range(len(items) - 1, offset - 1, -1):
+            u = utilities[p]
+            it = items[p]
             rsu[it] = rsu.get(it, 0) + prefix + u + tail
             if u > 0:
                 tail += u
@@ -100,8 +98,8 @@ def reference_negative_caps(pdb):
     ``pdb``: the reference for :func:`topicmine.bounds.compute_negative_caps`
     on the bucket that ``pdb`` was projected from."""
     caps: dict[int, int] = {}
-    for rec, offset, _, pos_prefix, _ in view_fields(pdb):
-        for it in rec.items[offset:]:
+    for items, _, offset, _, pos_prefix in view_fields(pdb):
+        for it in items[offset:]:
             caps[it] = caps.get(it, 0) + pos_prefix
     return caps
 
@@ -211,8 +209,7 @@ def check_bound_soundness(db: UtilityDatabase) -> int:
         child_containing: dict[int, dict[int, float]] = {}
         for z in range(last + 1, m):
             occurrences = bucket(pdb, z)
-            child = project(pdb, z, occurrences)
-            if child.support == 0:
+            if not occurrences:
                 child_max[z] = NONE
                 child_containing[z] = {}
                 continue
@@ -221,6 +218,7 @@ def check_bound_soundness(db: UtilityDatabase) -> int:
                      compute_negative_caps(pdb, occurrences, cutoff, m))
             exact = util[as_ids(prefix + (z,))]
             violations += sum(utility != exact for utility, _ in scans)
+            child = project(pdb, z, occurrences)
             cm, cc = dfs(prefix + (z,), child, *(bound for _, bound in scans))
             child_max[z] = cm
             child_containing[z] = cc
@@ -258,10 +256,10 @@ def reconstruct_merged(db: UtilityDatabase) -> UtilityDatabase:
     everything = db.positive_items | db.negative_items
     merged = merge_identical(build_root(remap_database(db, order, everything)))
     lines = []
-    for rec, offset, _, _, _ in view_fields(merged):
+    for ranks, utilities, offset, _, _ in view_fields(merged):
         labelled = sorted(
             (db.labels[order.items[r]], u)
-            for r, u in zip(rec.items[offset:], rec.utilities[offset:])
+            for r, u in zip(ranks[offset:], utilities[offset:])
         )
         items = " ".join(str(lab) for lab, _ in labelled)
         utils = " ".join(str(u) for _, u in labelled)

@@ -109,7 +109,7 @@ class TestArrays:
         nonzero_caps = shrunk = roots = 0
         for db, cutoff, prefix, pdb in campaign_nodes(merged):
             if not prefix:
-                shrunk += len(pdb.views) < len(db.transactions)
+                shrunk += len(pdb.items) < len(db.transactions)
                 _, ref_rsu = reference_bounds(pdb)
                 buckets = deliver(pdb, set(range(cutoff)))
                 assert compute_rsu(pdb, buckets, cutoff) == [
@@ -129,7 +129,7 @@ class TestArrays:
             assert rlu == [ref_rlu.get(w, 0) for w in positives]
             assert rsu == [ref_rsu.get(w, 0) for w in positives]
             assert caps == [0] * cutoff + [ref_caps.get(w, 0) for w in negatives]
-            occurs = {it for rec, off, *_ in view_fields(child) for it in rec.items[off:]}
+            occurs = {it for items, _, off, *_ in view_fields(child) for it in items[off:]}
             assert {w for w in positives if rlu[w] > 0} == occurs & set(positives)
             assert {w for w in positives if rsu[w] > 0} == occurs & set(positives)
             if (prefix + (z,))[0] < cutoff:
@@ -151,7 +151,7 @@ class TestArrays:
             exact = exact_utility(db, prefix + (z,))
             plain = project(pdb, z, occurrences)
             for child in (plain, merge_identical(plain)):
-                folded += len(plain.records) - len(child.records)
+                folded += len(plain.items) - len(child.items)
                 ref_rlu, ref_rsu = reference_bounds(child)
                 ref_caps = reference_negative_caps(child)
                 for subtree, ref in ((False, ref_rlu), (True, ref_rsu)):
@@ -205,7 +205,7 @@ class TestPairRows:
         root, _, _ = rooted(db)
         if merged:
             merged_root = merge_identical(root)
-            assert len(merged_root.views) < len(root.views)
+            assert len(merged_root.items) < len(root.items)
             root = merged_root
         got = {}
         positives = range(order.positive_cutoff)

@@ -299,6 +299,26 @@ class TestAblationStats:
                                          for _, candidates in searched)
         assert leaves > 0 and negative_searches > 0
 
+    def test_every_built_child_has_a_view(self, example_db, monkeypatch):
+        # a child is built only when some extension's bound reaches the
+        # floor of 1, and a bound is positive only for an item that occurs
+        # after z in some view, so every child the search builds keeps at
+        # least one view
+        built = []
+
+        def projecting(*args):
+            child = project(*args)
+            built.append(child)
+            return child
+
+        monkeypatch.setattr(topicmine.miner, "project", projecting)
+        for db in (example_db, campaign_db(4, 0.0), campaign_db(4, 0.3), campaign_db(9, 0.6)):
+            for name in VARIANT_NAMES:
+                built.clear()
+                stats = mine(db, MinerConfig.variant(10, name)).stats
+                assert stats.projections == len(built) > 0, name
+                assert all(child.items for child in built), name
+
     def test_every_entered_node_is_merged_once(self, example_db, monkeypatch):
         # merging runs once per entered node, the root and each built child
         # alike, and never when it is switched off

@@ -12,7 +12,7 @@ from topicmine import compute_item_summaries, generate_synthetic, parse_spmf
 from topicmine.bounds import compute_bounds, compute_rsu
 from topicmine.database import Transaction
 from topicmine.ordering import (
-    Record,
+    ProjectedDatabase,
     build_root,
     build_total_order,
     deliver,
@@ -59,58 +59,59 @@ class TestTotalOrder:
         assert order.items == [0, 1, 2]
 
 
-def as_id_pairs(records, order):
-    """Each record's (item id, utility) pairs, as a sorted multiset."""
-    return sorted(sorted((order.items[r], u) for r, u in zip(rec.items, rec.utilities))
-                  for rec in records)
+def as_id_pairs(rows, order):
+    """Each root row's (item id, utility) pairs, as a sorted multiset."""
+    return sorted(sorted((order.items[r], u) for r, u in zip(items, utilities))
+                  for items, utilities in zip(*rows))
 
 
 class TestRemap:
     def test_running_example_survives_whole(self, example_db):
         rdb, order = remapped_example(example_db)
-        assert len(rdb) == 6
-        for rec in rdb:
-            assert rec.items == tuple(sorted(rec.items))
+        assert len(rdb[0]) == len(rdb[1]) == 6
+        for items in rdb[0]:
+            assert items == tuple(sorted(items))
         want = sorted(sorted(zip(t.items, t.utilities)) for t in example_db.transactions)
         assert as_id_pairs(rdb, order) == want
 
     def test_empty_keep_sets(self, example_db):
         order = canonical(example_db)
         rdb = remap_database(example_db, order, set())
-        assert rdb == []
+        assert rdb == ([], [])
 
     def test_back_to_front_transaction_order(self):
         # {a,b} sorts below {a,b,c} which sorts below {a,b,e}
         db = parse_spmf("1 2 3:3:1 1 1\n1 2 5:4:1 1 2\n1 2:2:1 1")
         order = build_total_order(compute_item_summaries(db))
         rdb = remap_database(db, order, set(db.positive_items))
-        lengths_and_labels = [sorted(db.labels[order.items[r]] for r in t.items) for t in rdb]
+        lengths_and_labels = [sorted(db.labels[order.items[r]] for r in items)
+                              for items in rdb[0]]
         assert lengths_and_labels == [[1, 2], [1, 2, 3], [1, 2, 5]]
 
     def test_dropped_items_recompute_tu(self, example_db, ids):
         order = canonical(example_db)
-        rdb = remap_database(example_db, order, {ids["D"]})
-        assert all(rec.items == (order.rank[ids["D"]],) for rec in rdb)
-        assert sorted(rec.utilities for rec in rdb) == [(12,), (30,), (36,), (36,)]
+        items, utilities = remap_database(example_db, order, {ids["D"]})
+        assert all(row == (order.rank[ids["D"]],) for row in items)
+        assert sorted(utilities) == [(12,), (30,), (36,), (36,)]
 
     @pytest.mark.parametrize("dropping", [False, True], ids=["keep-all", "keep-some"])
     def test_root_records(self, dropping):
-        # every record is a source transaction restricted to ``keep``, renamed
-        # to ascending ranks, held as two tuples of one size, with weight 1;
-        # the records run in backward-lexicographic order
+        # every row is a source transaction restricted to ``keep``, renamed
+        # to ascending ranks, held as two tuples of one size; the rows run
+        # in backward-lexicographic order
         for seed in range(12):
             for nf in (0.0, 0.3, 0.6):
                 db = campaign_db(seed, nf)
                 order = build_total_order(compute_item_summaries(db))
                 keep = {i for i in range(db.item_count) if not (dropping and i % 3 == 1)}
                 rdb = remap_database(db, order, keep)
-                for rec in rdb:
-                    assert all(a < b for a, b in zip(rec.items, rec.items[1:]))
-                    assert type(rec.items) is type(rec.utilities) is tuple
-                    assert len(rec.items) == len(rec.utilities)
-                    assert rec.weight == 1
-                for before, after in zip(rdb, rdb[1:]):
-                    assert before.items[::-1] <= after.items[::-1]
+                assert len(rdb[0]) == len(rdb[1])
+                for items, utilities in zip(*rdb):
+                    assert all(a < b for a, b in zip(items, items[1:]))
+                    assert type(items) is type(utilities) is tuple
+                    assert len(items) == len(utilities)
+                for before, after in zip(rdb[0], rdb[0][1:]):
+                    assert before[::-1] <= after[::-1]
                 restricted = ([(i, u) for i, u in zip(t.items, t.utilities) if i in keep]
                               for t in db.transactions)
                 assert as_id_pairs(rdb, order) == sorted(pairs for pairs in restricted if pairs)
@@ -130,10 +131,10 @@ class TestRemap:
                 if merged:
                     root = merge_identical(root)
                 expected = [0] * cutoff
-                for rec in root.records:
-                    for p, z in enumerate(rec.items):
+                for items, utilities in zip(root.items, root.utilities):
+                    for p, z in enumerate(items):
                         if z < cutoff:
-                            expected[z] += sum(u for u in rec.utilities[p:] if u > 0)
+                            expected[z] += sum(u for u in utilities[p:] if u > 0)
                 buckets = deliver(root, set(range(cutoff)))
                 assert compute_rsu(root, buckets, cutoff) == expected
 
@@ -146,11 +147,11 @@ class TestProject:
         # empty (E precedes A), so it is counted then dropped.
         cutoff = canonical(example_db).positive_cutoff
         assert compute_bounds(root, bucket(root, r["A"]), cutoff)[0] == 25
-        assert child.support == 3
-        assert [prefix for _, _, prefix, _, _ in view_fields(child)] == [15, 5]
+        assert len(bucket(root, r["A"])) // 2 == 3
+        assert [prefix for _, _, _, prefix, _ in view_fields(child)] == [15, 5]
         suffixes = [
-            [(rec.items[p], rec.utilities[p]) for p in range(offset, len(rec.items))]
-            for rec, offset, _, _, _ in view_fields(child)
+            [(items[p], utilities[p]) for p in range(offset, len(items))]
+            for items, utilities, offset, _, _ in view_fields(child)
         ]
         assert suffixes == [[(r["D"], 30)], [(r["D"], 12)]]
 
@@ -158,36 +159,32 @@ class TestProject:
         root, r = example_root(example_db, ids)
         child = project_on(project_on(root, r["E"]), r["B"])
         grandchild = project_on(child, r["B"])
-        assert grandchild.views == [] and grandchild.support == 0
+        assert bucket(child, r["B"]) == () and grandchild.items == []
 
     def test_projection_never_grows(self, example_db):
         rdb, _ = remapped_example(example_db)
         root = build_root(rdb)
         for item in range(example_db.item_count):
             child = project_on(root, item)
-            assert len(child.views) <= len(root.views)
+            assert len(child.items) <= len(root.items)
 
 
 def scan_project(pdb, z):
     """Reference projection on z that finds z by a plain scan of each view's
-    suffix: (utility, support, view fields)."""
-    utility = support = 0
+    suffix: (utility, views holding z, view fields)."""
+    utility = holding = 0
     views = []
-    for rec, offset, prefix, pos_prefix, weight in view_fields(pdb):
-        suffix = rec.items[offset:]
+    for items, utilities, offset, prefix, pos_prefix in view_fields(pdb):
+        suffix = items[offset:]
         if z not in suffix:
             continue
         pos = offset + suffix.index(z)
-        u = rec.utilities[pos]
+        u = utilities[pos]
         utility += prefix + u
-        support += weight
-        if pos + 1 < len(rec.items):
-            views.append((rec, pos + 1, prefix + u, pos_prefix + max(u, 0), weight))
-    return utility, support, views
-
-
-def fields(pdb):
-    return pdb.support, list(view_fields(pdb))
+        holding += 1
+        if pos + 1 < len(items):
+            views.append((items, utilities, pos + 1, prefix + u, pos_prefix + max(u, 0)))
+    return utility, holding, views
 
 
 def delivered_children(pdb, wanted, merging, cutoff):
@@ -198,15 +195,16 @@ def delivered_children(pdb, wanted, merging, cutoff):
     buckets = deliver(pdb, set(wanted))
     children = {}
     for z in wanted:
-        expected = fields(project_on(pdb, z))
-        utility, *scanned = scan_project(pdb, z)
-        assert tuple(scanned) == expected
+        expected = list(view_fields(project_on(pdb, z)))
+        utility, holding, scanned = scan_project(pdb, z)
+        assert scanned == expected
+        assert len(buckets.get(z, ())) == 2 * holding
         if z not in buckets:
-            assert expected[0] == utility == 0
+            assert expected == [] and utility == 0
             continue
         assert compute_bounds(pdb, buckets[z], cutoff)[0] == utility
         child = project(pdb, z, buckets[z])
-        assert fields(child) == expected
+        assert list(view_fields(child)) == expected
         children[z] = merge_identical(child) if merging else child
     return children
 
@@ -220,7 +218,8 @@ class TestDeliver:
     def test_children_equal_project(self, make_db, merging):
         db = make_db()
         order = build_total_order(compute_item_summaries(db))
-        root = build_root(remap_database(db, order, db.positive_items | db.negative_items))
+        plain = root = build_root(
+            remap_database(db, order, db.positive_items | db.negative_items))
         if merging:
             root = merge_identical(root)
         ranks = range(len(order.items))
@@ -230,7 +229,8 @@ class TestDeliver:
             depth2 += delivered_children(child, ranks[z + 1:], merging, cutoff).values()
         assert depth2
         if merging:
-            assert any(rec.weight > 1 for c in depth2 for rec in c.records)
+            # some view at depth 2 reads tuples that a fold made
+            assert any(new_views(c, plain) for c in depth2)
 
     def test_unwanted_and_absent_items_get_no_bucket(self, example_db, ids):
         root, r = example_root(example_db, ids)
@@ -242,37 +242,42 @@ class TestDeliver:
 def reference_merge(pdb):
     """Each view of ``pdb`` merged by a plain grouping of neighbouring views
     with equal suffixes: ``(suffix items, suffix utilities, prefix, positive
-    prefix, weight)``, summed over each group, in view order."""
+    prefix)``, summed over each group, in view order."""
     groups = []
-    for rec, offset, prefix, pos_prefix, weight in view_fields(pdb):
-        suffix = tuple(rec.items[offset:])
+    for items, utilities, offset, prefix, pos_prefix in view_fields(pdb):
+        suffix = tuple(items[offset:])
         if groups and groups[-1][0] == suffix:
-            groups[-1][1].append((rec.utilities[offset:], prefix, pos_prefix, weight))
+            groups[-1][1].append((utilities[offset:], prefix, pos_prefix))
         else:
-            groups.append((suffix, [(rec.utilities[offset:], prefix, pos_prefix, weight)]))
+            groups.append((suffix, [(utilities[offset:], prefix, pos_prefix)]))
     return [(suffix,
              tuple(sum(column) for column in zip(*(utils for utils, *_ in members))),
-             sum(m[1] for m in members), sum(m[2] for m in members),
-             sum(m[3] for m in members))
+             sum(m[1] for m in members), sum(m[2] for m in members))
             for suffix, members in groups]
 
 
 def merged_views(pdb):
-    return [(tuple(rec.items[offset:]), tuple(rec.utilities[offset:]), prefix, pos_prefix,
-             weight)
-            for rec, offset, prefix, pos_prefix, weight in view_fields(pdb)]
+    return [(tuple(items[offset:]), tuple(utilities[offset:]), prefix, pos_prefix)
+            for items, utilities, offset, prefix, pos_prefix in view_fields(pdb)]
+
+
+def new_views(merged, pdb):
+    """Indices of the views of ``merged`` whose utility tuple is not one of
+    ``pdb``'s: the views that a fold made."""
+    return [j for j, utilities in enumerate(merged.utilities)
+            if not any(utilities is old for old in pdb.utilities)]
 
 
 class TestMerge:
     def test_identical_full_transactions(self, example_db, ids):
         root, r = example_root(example_db, ids)
         merged = merge_identical(root)
-        assert len(root.views) - len(merged.views) == 1
-        assert len(merged.views) == 5
-        coalesced = [rec for rec in merged.records if rec.weight == 2]
+        assert len(root.items) - len(merged.items) == 1
+        assert len(merged.items) == 5
+        coalesced = new_views(merged, root)
         assert len(coalesced) == 1
-        rec = coalesced[0]
-        assert dict(zip(rec.items, rec.utilities)) == {
+        j = coalesced[0]
+        assert dict(zip(merged.items[j], merged.utilities[j])) == {
             r["B"]: -6, r["C"]: -8, r["D"]: 72,
         }
 
@@ -283,27 +288,32 @@ class TestMerge:
         order = build_total_order(compute_item_summaries(db))
         root = build_root(remap_database(db, order, db.positive_items | db.negative_items))
         assert merge_identical(root) is root
-        assert sum(rec.weight for rec in root.records) == len(db.transactions)
+        assert len(root.items) == len(db.transactions)
 
     def test_merged_prefix_utilities_sum(self, example_db, ids):
         root, r = example_root(example_db, ids)
         child = merge_identical(project_on(root, r["D"]))
         # T2 and T5 project to the identical {B, C} suffix
-        assert [(prefix, weight) for _, _, prefix, _, weight in view_fields(child)] == [(72, 2)]
+        assert [prefix for _, _, _, prefix, _ in view_fields(child)] == [72]
 
     @pytest.mark.parametrize("merged", [False, True], ids=["unmerged", "merged"])
     def test_project_keeps_records_and_merge_counts_folds(self, merged):
-        # a plain projection keeps its parent's records; merging it hands
-        # back the projection itself when nothing folds
+        # each view of a plain projection keeps its parent view's two
+        # tuples; merging it hands back the projection itself when nothing
+        # folds
         folded = unchanged = 0
         for db, _, prefix, pdb in campaign_nodes(merged):
             last = prefix[-1] if prefix else -1
-            parent_records = {id(rec) for rec in pdb.records}
             for z, occurrences in deliver(pdb, set(range(last + 1, db.item_count))).items():
                 plain = project(pdb, z, occurrences)
-                assert {id(rec) for rec in plain.records} <= parent_records
+                pairs = iter(occurrences)
+                kept = [i for i, p in zip(pairs, pairs) if p + 1 < len(pdb.items[i])]
+                assert len(plain.items) == len(kept)
+                for j, i in enumerate(kept):
+                    assert plain.items[j] is pdb.items[i]
+                    assert plain.utilities[j] is pdb.utilities[i]
                 after = merge_identical(plain)
-                dropped = len(plain.records) - len(after.records)
+                dropped = len(plain.items) - len(after.items)
                 if not dropped:
                     assert after is plain
                     unchanged += 1
@@ -318,52 +328,52 @@ class TestMerge:
                         "3 4:7:3 4\n1 2 3 4:10:1 2 3 4\n1 2 3 4:10:1 2 3 4")
         order = build_total_order(compute_item_summaries(db))
         root = build_root(remap_database(db, order, db.positive_items))
-        suffixes = [rec.items for rec in root.records]
+        suffixes = root.items
         folds = [i for i in range(1, len(suffixes)) if suffixes[i] == suffixes[i - 1]]
         assert folds == [4, 8, 9, 11]
         merged = merge_identical(root)
         assert merged_views(merged) == reference_merge(root)
-        assert len(root.records) - len(merged.records) == 4
-        assert merged.support == root.support
-        # a view that folds nothing keeps its parent's record
-        kept = [rec for rec in merged.records if rec.weight == 1]
-        assert all(any(rec is old for old in root.records) for rec in kept)
+        assert len(root.items) - len(merged.items) == 4
+        # the three folded groups are new views; each of the five views
+        # that folds nothing keeps its parent's tuples
+        assert len(new_views(merged, root)) == 3
 
     @pytest.mark.parametrize("merged", [False, True], ids=["unmerged", "merged"])
     def test_children_merge_like_reference(self, merged):
         # merging every child of a node of depth <= 1 gives the views of a
-        # plain reference merge, and leaves every record of the node, which
-        # its children share, as it was
+        # plain reference merge, and leaves every view of the node, whose
+        # tuples its children share, as it was
         for db, _, prefix, pdb in campaign_nodes(merged):
             if len(prefix) > 1:
                 continue
-            snapshot = [(rec, tuple(rec.items), tuple(rec.utilities), rec.weight)
-                        for rec in pdb.records]
+            snapshot = list(view_fields(pdb))
             last = prefix[-1] if prefix else -1
             for z, occurrences in deliver(pdb, set(range(last + 1, db.item_count))).items():
                 child = project(pdb, z, occurrences)
                 assert merged_views(merge_identical(child)) == reference_merge(child)
-            assert [(rec, tuple(rec.items), tuple(rec.utilities), rec.weight)
-                    for rec in pdb.records] == snapshot
+            assert list(view_fields(pdb)) == snapshot
 
 
 class TestLayout:
     @pytest.mark.parametrize("merged", [False, True], ids=["unmerged", "merged"])
     def test_parallel_lists(self, merged):
-        # at every node of depth <= 2 the four view lists have one entry per
-        # view, and every kept view has a non-empty suffix
+        # at every node of depth <= 2 the five view lists have one entry per
+        # view, a view's two tuples are of one size, and every kept view has
+        # a non-empty suffix; the tracer's ``views`` and ``support`` read
+        # the item list
         for db, _, prefix, pdb in campaign_nodes(merged):
-            if not prefix:
-                assert sum(rec.weight for rec in pdb.records) == len(db.transactions)
-            n = len(pdb.records)
-            assert len(pdb.offsets) == len(pdb.prefixes) == len(pdb.pos_prefixes) == n
-            assert len(pdb.views) == n
-            for rec, offset, _, _, _ in view_fields(pdb):
-                assert 0 <= offset < len(rec.items)
+            if not prefix and not merged:
+                assert len(pdb.items) == len(db.transactions)
+            n = len(pdb.items)
+            assert len(pdb.utilities) == len(pdb.offsets) == n
+            assert len(pdb.prefixes) == len(pdb.pos_prefixes) == n
+            assert pdb.views is pdb.items and pdb.support == n
+            for items, utilities, offset, _, _ in view_fields(pdb):
+                assert len(items) == len(utilities)
+                assert 0 <= offset < len(items)
 
     def test_slotted_instances(self):
-        # one instance dict per transaction or record would cost more than
-        # the fields it holds
-        t = Transaction(0, [0, 1], [2, 3], 5)
-        assert not hasattr(t, "__dict__")
-        assert not hasattr(Record(t.items, t.utilities), "__dict__")
+        # one instance dict per transaction or projection would cost more
+        # than the fields it holds
+        assert not hasattr(Transaction(0, [0, 1], [2, 3], 5), "__dict__")
+        assert not hasattr(ProjectedDatabase([], [], [], [], []), "__dict__")
