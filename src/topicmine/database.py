@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
+from itertools import compress
 
 log = logging.getLogger(__name__)
 
@@ -83,58 +84,70 @@ class ItemSummary:
     positive: bool
 
 
-def _build_database(rows: list[tuple[list[int], list[int]]]) -> UtilityDatabase:
-    """Assemble a database from (raw labels, utilities) rows.
+def _build_database(rows: list[tuple[int, list[int], list[int], int]]) -> UtilityDatabase:
+    """Assemble a database from ``(line, raw labels, utilities, TU)`` rows.
 
-    Validates global sign consistency and remaps raw labels to dense ids
-    (ascending label order). Tids are assigned in row order starting at 1.
+    A row's labels are distinct and its TU is the sum of its utilities.
+    Checks that every utility is non-zero and every label keeps one sign,
+    naming the first offending row's ``line``. Dense ids follow ascending
+    label order. Tids are assigned in row order starting at 1.
     """
-    sign: dict[int, bool] = {}
-    for lineno, (labels, utils) in enumerate(rows, start=1):
-        for lab, u in zip(labels, utils):
-            if u == 0:
-                raise ZeroUtilityError(f"line {lineno}: item {lab} has utility 0")
-            pos = u > 0
-            if lab in sign and sign[lab] is not pos:
-                raise MixedSignItemError(
-                    f"line {lineno}: item {lab} occurs with both signs"
-                )
-            sign[lab] = pos
+    positive: set[int] = set()
+    negative: set[int] = set()
+    clean = True
+    for _, labels, utils, _ in rows:
+        positive.update(compress(labels, map((0).__lt__, utils)))
+        negative.update(compress(labels, map((0).__gt__, utils)))
+        clean = clean and 0 not in utils
+    if not clean or not positive.isdisjoint(negative):
+        sign: dict[int, bool] = {}
+        for line, labels, utils, _ in rows:
+            for lab, u in zip(labels, utils):
+                if u == 0:
+                    raise ZeroUtilityError(f"line {line}: item {lab} has utility 0")
+                if sign.setdefault(lab, u > 0) is not (u > 0):
+                    raise MixedSignItemError(f"line {line}: item {lab} occurs with both signs")
 
-    label_list = sorted(sign)
-    dense = {lab: i for i, lab in enumerate(label_list)}
+    label_list = sorted(positive | negative)
+    dense = dict(zip(label_list, range(len(label_list))))
 
     transactions = []
-    for tid, (labels, utils) in enumerate(rows, start=1):
-        pairs = sorted((dense[lab], u) for lab, u in zip(labels, utils))
-        items = [p[0] for p in pairs]
-        utilities = [p[1] for p in pairs]
-        transactions.append(Transaction(tid, items, utilities, sum(utilities)))
+    for tid, (_, labels, utils, tu) in enumerate(rows, start=1):
+        items = list(map(dense.__getitem__, labels))
+        if items != sorted(items):
+            items, utils = map(list, zip(*sorted(zip(items, utils))))
+        transactions.append(Transaction(tid, items, utils, tu))
 
-    positive = frozenset(dense[lab] for lab, pos in sign.items() if pos)
-    negative = frozenset(dense[lab] for lab, pos in sign.items() if not pos)
-    return UtilityDatabase(transactions, label_list, positive, negative)
+    positive_ids = frozenset(map(dense.__getitem__, positive))
+    negative_ids = frozenset(map(dense.__getitem__, negative))
+    return UtilityDatabase(transactions, label_list, positive_ids, negative_ids)
 
 
 def parse_spmf(text: str, strict: bool = True) -> UtilityDatabase:
     """Parse the SPMF utility format: ``i1 i2 ... im:TU:u1 u2 ... um``.
 
-    Lines starting with ``#`` or ``@`` are skipped. The declared TU field is
-    validated against the sum of the utilities; in strict mode a mismatch is
-    an error, otherwise it is recomputed with a warning.
+    Lines starting with ``#`` or ``@`` are skipped. Tokens are ASCII decimal
+    integers with an optional sign, and labels may come in any order within
+    a line. A declared TU that differs from the sum of the utilities is an
+    error in strict mode and is otherwise recomputed with a warning. Only a
+    newline ends a line (a carriage return before it is stripped), and errors
+    name that physical line; sign and zero errors are raised only once every
+    line has parsed.
     """
-    rows: list[tuple[list[int], list[int]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    rows: list[tuple[int, list[int], list[int], int]] = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("@"):
+        if not line or line.startswith(("#", "@")):
             continue
+        if not line.isascii() or "_" in line:
+            raise MalformedLineError(f"line {lineno}: tokens must be ASCII decimal integers")
         fields = line.split(":")
         if len(fields) != 3:
             raise MalformedLineError(f"line {lineno}: expected 3 ':'-fields, got {len(fields)}")
         try:
-            labels = [int(tok) for tok in fields[0].split()]
+            labels = list(map(int, fields[0].split()))
             declared_tu = int(fields[1])
-            utils = [int(tok) for tok in fields[2].split()]
+            utils = list(map(int, fields[2].split()))
         except ValueError as exc:
             raise MalformedLineError(f"line {lineno}: {exc}") from None
         if len(labels) != len(utils):
@@ -153,7 +166,7 @@ def parse_spmf(text: str, strict: bool = True) -> UtilityDatabase:
                 )
             log.warning("line %d: declared TU %d != sum %d, recomputed",
                         lineno, declared_tu, actual_tu)
-        rows.append((labels, utils))
+        rows.append((lineno, labels, utils, actual_tu))
     return _build_database(rows)
 
 
@@ -227,5 +240,5 @@ def generate_synthetic(
         for lab in labels:
             mag = rng.randint(lo, hi)
             utils.append(-mag if lab in negative_labels else mag)
-        rows.append((labels, utils))
+        rows.append((len(rows) + 1, labels, utils, sum(utils)))
     return _build_database(rows)

@@ -41,6 +41,12 @@ class TestMine:
         bad.write_text("1 2:3\n")
         assert main(["mine", "--input", str(bad), "--k", "5"]) == EXIT_DATA_ERROR
 
+    def test_error_names_physical_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.spmf"
+        bad.write_text("# header\n\n3 1:8:5 3\n2 1:5:5 0\n")
+        assert main(["mine", "--input", str(bad), "--k", "5"]) == EXIT_DATA_ERROR
+        assert capsys.readouterr().err == "error: line 4: item 1 has utility 0\n"
+
     def test_undecodable_input_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.spmf"
         bad.write_bytes(b"\xff")

@@ -1,3 +1,7 @@
+import hashlib
+import logging
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,19 +17,6 @@ from topicmine import (
     parse_spmf,
     write_spmf,
 )
-
-
-def db_equal(a, b):
-    if a.labels != b.labels:
-        return False
-    if len(a.transactions) != len(b.transactions):
-        return False
-    for ta, tb in zip(a.transactions, b.transactions):
-        if (ta.tid, sorted(zip(ta.items, ta.utilities)), ta.tu) != (
-            tb.tid, sorted(zip(tb.items, tb.utilities)), tb.tu,
-        ):
-            return False
-    return True
 
 
 class TestParse:
@@ -86,6 +77,77 @@ class TestParse:
         with pytest.raises(ZeroUtilityError):
             parse_spmf("1 2:5:5 0")
 
+    # Each bad line sits on physical line 5, after a comment holding a bad
+    # line, a meta line, a blank line and one good line, and a second bad
+    # line of the same kind follows it.
+    @pytest.mark.parametrize(
+        "bad, later, error",
+        [
+            ("1 2:3", "1:2:3:4", MalformedLineError),
+            ("1 x:5:5 0", "y:1:1", MalformedLineError),
+            ("1 2:10:5", "3:1:1 1", MalformedLineError),
+            (":0:", " : 0 : ", MalformedLineError),
+            ("1 1:10:5 5", "2 2:2:1 1", MalformedLineError),
+            ("1_0:5:5", "2:1_0:10", MalformedLineError),
+            ("\u0661:5:5", "2:5:\u0665", MalformedLineError),
+            ("1 2:99:5 5", "3:9:8", TuMismatchError),
+            ("1:-5:-5", "1:-3:-3", MixedSignItemError),
+            ("2 3:5:5 0", "4:0:0", ZeroUtilityError),
+            ("1:5:5\x0b2:0:0", "3\x0c4:1:1", MalformedLineError),
+        ],
+        ids=["fields", "token", "count", "empty", "duplicate", "underscore",
+             "non-ascii", "tu", "mixed-sign", "zero", "vertical-tab"],
+    )
+    def test_first_bad_physical_line_named(self, bad, later, error):
+        text = f"# 1:-5:0\n@meta x\n\n1:5:5\n{bad}\n6:1:1\n{later}\n"
+        with pytest.raises(error, match=r"^line 5: "):
+            parse_spmf(text)
+
+    def test_only_newline_ends_a_line(self):
+        # form feeds, vertical tabs, \x85 and \u2028 end no line, so a
+        # comment keeps its tail and line numbers match ``grep -n``
+        with pytest.raises(ZeroUtilityError, match=r"^line 3: item 3 "):
+            parse_spmf("# a\x0c1:0:0\u2028\x85\n1:5:5\r\n2\x0b3:5:5 0\n")
+
+    def test_line_errors_precede_sign_and_zero_errors(self):
+        # sign and zero errors need the whole file, so a malformed or
+        # mismatching line anywhere is reported first
+        with pytest.raises(MalformedLineError, match=r"^line 3: "):
+            parse_spmf("1 2:5:5 0\n1:-1:-1\n1 2:3")
+        with pytest.raises(TuMismatchError, match=r"^line 2: "):
+            parse_spmf("1:0:0\n1 2:99:5 5")
+
+    def test_signed_tokens_and_non_ascii_comments(self):
+        db = parse_spmf("# caf\u00e9 \u0661\n@ \u2014\n+1 2:+2:+5 -3\n-4:-1:-1")
+        assert db.labels == [-4, 1, 2]
+        assert [(t.items, t.utilities, t.tu) for t in db.transactions] == [
+            ([1, 2], [5, -3], 2), ([0], [-1], -1),
+        ]
+
+    def test_lenient_warns_once_per_mismatching_line(self, caplog):
+        text = "1 2:99:5 5\n# c\n3:4:4\n1 3:0:5 4\n"
+        with caplog.at_level(logging.WARNING, logger="topicmine.database"):
+            db = parse_spmf(text, strict=False)
+        assert [r.getMessage() for r in caplog.records] == [
+            "line 1: declared TU 99 != sum 10, recomputed",
+            "line 4: declared TU 0 != sum 9, recomputed",
+        ]
+        assert [t.tu for t in db.transactions] == [10, 4, 9]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 0.6]))
+    def test_pair_order_within_lines_is_free(self, seed, nf):
+        db = generate_synthetic(15, 8, 4, (1, 9), nf, seed)
+        rng = random.Random(seed)
+        lines = []
+        for line in write_spmf(db).splitlines():
+            labels, tu, utils = line.split(":")
+            pairs = list(zip(labels.split(), utils.split()))
+            rng.shuffle(pairs)
+            lines.append(" ".join(p[0] for p in pairs) + f":{tu}:"
+                         + " ".join(p[1] for p in pairs))
+        assert parse_spmf("\n".join(lines)) == db
+
 
 class TestWrite:
     def test_empty_round_trip(self):
@@ -94,13 +156,13 @@ class TestWrite:
     def test_running_example_tus(self, example_text, example_db):
         lines = write_spmf(example_db).splitlines()
         assert [int(line.split(":")[1]) for line in lines] == [27, 29, 45, 15, 29, 15]
-        assert db_equal(parse_spmf(write_spmf(example_db)), example_db)
+        assert parse_spmf(write_spmf(example_db)) == example_db
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 0.6]))
     def test_random_round_trip(self, seed, nf):
         db = generate_synthetic(15, 8, 4, (1, 9), nf, seed)
-        assert db_equal(parse_spmf(write_spmf(db)), db)
+        assert parse_spmf(write_spmf(db)) == db
 
 
 class TestSummaries:
@@ -132,14 +194,22 @@ class TestGenerate:
         db = generate_synthetic(0, 10, 5, (1, 10), 0.2, 3)
         assert db.transactions == [] and db.item_count == 0
 
+    def test_written_file_is_pinned(self):
+        # parse_spmf and generate_synthetic share one builder; the
+        # benchmark's reference inputs are files written this way
+        text = write_spmf(generate_synthetic(50, 12, 4, (1, 9), 0.3, 7))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ce27c2f1b4347a5ace33f604b6577ee48e4ed0d6f38a5671cd6050b511965754"
+        )
+
     def test_deterministic(self):
         a = generate_synthetic(100, 20, 5, (1, 9), 0.25, 42)
         b = generate_synthetic(100, 20, 5, (1, 9), 0.25, 42)
-        assert db_equal(a, b)
+        assert a == b
 
     def test_shape_and_sign_fraction(self):
         db = generate_synthetic(1000, 50, 8, (1, 9), 0.3, 7)
-        assert db_equal(parse_spmf(write_spmf(db)), db)
+        assert parse_spmf(write_spmf(db)) == db
         # item signs fixed before generation: ~30% of the universe is negative
         assert 10 <= len(db.negative_items) <= 20
         for t in db.transactions:
