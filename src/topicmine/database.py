@@ -73,7 +73,7 @@ class UtilityDatabase:
         return len(self.labels)
 
 
-@dataclass
+@dataclass(slots=True)
 class ItemSummary:
     """Per-item aggregates over the whole database."""
 

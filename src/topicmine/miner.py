@@ -27,7 +27,6 @@ independently to reproduce the four ablation variants.
 """
 from __future__ import annotations
 
-import heapq
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -174,11 +173,12 @@ class _Search:
         bucket in ``buckets`` (``pdb``'s delivery), in candidate order, and
         whose bound in ``pdb`` can still place an itemset by its turn when
         subtree pruning is on. ``bound`` is RSU (RLU with subtree pruning
-        off) for a positive item, the negative cap for a negative one. No
-        bound grows down the tree and the threshold never falls, so an item
-        that a child's bound rejects was pruned above or does not occur
-        (bound 0), and a check that fails at one turn fails at every later
-        one.
+        off) for a positive item, the negative cap for a negative one. RLU
+        never grows down the tree, but RSU can, since it counts the prefix:
+        in the one transaction ``1 2 3:3:1 1 1``, item 2's RSU is 2 at the
+        root and 3 under item 1. So each extension is checked against its
+        own node's bound, never a parent's. The threshold never falls, so a
+        check that fails at one turn fails at every later one.
 
         A positive z's child takes the items of ``eta`` that pass its caps,
         when it strictly beats the threshold, and then the positive ranks
@@ -236,7 +236,7 @@ def _item_and_pair_utilities(summaries: list[ItemSummary], order: TotalOrder,
     itemset, as the pair raise needs."""
     for s in summaries:
         yield s.utility
-    firsts = heapq.nlargest(k, positives, key=lambda r: summaries[order.items[r]].utility)
+    firsts = sorted(positives, key=lambda r: summaries[order.items[r]].utility, reverse=True)[:k]
     for _, row in compute_pair_rows(root, buckets, firsts):
         yield from row.values()
 

@@ -59,18 +59,30 @@ def remap_database(db: UtilityDatabase, order: TotalOrder,
     """Build the root's rows as two lists, ``(items, utilities)``: drop
     items (dense ids) outside ``keep``, drop emptied transactions, rename
     items to their ranks in ascending order, and sort the rows
-    backward-lexicographically (shorter suffix first). Each row is read from
-    one ``{rank: utility}`` dict per transaction into two exact-size
-    tuples."""
+    backward-lexicographically (shorter suffix first), ties in transaction
+    order. A row's sort key is its ranks as a descending list: short tuples
+    that die in one batch would stay allocated on the interpreter's free
+    lists for the rest of the run. The walk over the sorted permutation
+    builds each row's two exact-size tuples and drops its key and its
+    descending utilities at once, so the rows are never held twice."""
     rank = order.rank
-    rows = []
+    keys = []
+    descending = []
     for t in db.transactions:
         row = {rank[i]: u for i, u in zip(t.items, t.utilities) if i in keep}
         if row:
-            items = tuple(sorted(row))
-            rows.append((items, tuple(map(row.__getitem__, items))))
-    rows.sort(key=lambda pair: pair[0][::-1])
-    return [items for items, _ in rows], [utilities for _, utilities in rows]
+            key = sorted(row, reverse=True)
+            keys.append(key)
+            descending.append(tuple(map(row.__getitem__, key)))
+    items = []
+    utilities = []
+    for j in sorted(range(len(keys)), key=keys.__getitem__):
+        key = keys[j]
+        key.reverse()
+        items.append(tuple(key))
+        utilities.append(descending[j][::-1])
+        keys[j] = descending[j] = None
+    return items, utilities
 
 
 class ProjectedDatabase:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable
+from itertools import islice
 
 
 class _Entry:
@@ -48,10 +49,15 @@ class TopKStore:
         (never below the floor). Sound only when every value is the exact
         utility of a distinct itemset: then at least k itemsets reach the
         new threshold, so none of the top k falls below it. Only k values
-        are held at once."""
-        best = heapq.nlargest(self.k, values)
+        are held at once, in a heap of plain values."""
+        values = iter(values)
+        best = list(islice(values, self.k))
         if len(best) == self.k:
-            self._raise_to(max(FLOOR, best[-1]))
+            heapq.heapify(best)
+            for value in values:
+                if value > best[0]:
+                    heapq.heapreplace(best, value)
+            self._raise_to(max(FLOOR, best[0]))
         return self.min_util
 
     def offer(self, itemset: tuple[int, ...], utility: int) -> int:

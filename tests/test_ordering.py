@@ -1,3 +1,7 @@
+import gc
+import sys
+import tracemalloc
+
 import pytest
 from helpers import (
     bucket,
@@ -10,7 +14,7 @@ from helpers import (
 
 from topicmine import compute_item_summaries, generate_synthetic, parse_spmf
 from topicmine.bounds import compute_bounds, compute_rsu
-from topicmine.database import Transaction
+from topicmine.database import ItemSummary, Transaction
 from topicmine.ordering import (
     ProjectedDatabase,
     build_root,
@@ -65,6 +69,17 @@ def as_id_pairs(rows, order):
                   for items, utilities in zip(*rows))
 
 
+def reference_rows(db, order, keep):
+    """The root's rows by a plain stable sort on the reversed items."""
+    rows = []
+    for t in db.transactions:
+        pairs = sorted((order.rank[i], u) for i, u in zip(t.items, t.utilities) if i in keep)
+        if pairs:
+            rows.append(tuple(zip(*pairs)))
+    rows.sort(key=lambda row: row[0][::-1])
+    return [items for items, _ in rows], [utilities for _, utilities in rows]
+
+
 class TestRemap:
     def test_running_example_survives_whole(self, example_db):
         rdb, order = remapped_example(example_db)
@@ -115,6 +130,54 @@ class TestRemap:
                 restricted = ([(i, u) for i, u in zip(t.items, t.utilities) if i in keep]
                               for t in db.transactions)
                 assert as_id_pairs(rdb, order) == sorted(pairs for pairs in restricted if pairs)
+                assert rdb == reference_rows(db, order, keep)
+
+    def test_ties_keep_transaction_order(self):
+        # rows with equal items tie on the sort key; they keep the order of
+        # their transactions, which their utilities make visible, and fully
+        # identical transactions stay side by side
+        db = parse_spmf("1 2:3:1 2\n1 2 3:6:1 2 3\n1 2:5:4 1\n2 3:5:2 3\n1 2:4:2 2\n"
+                        "1 2 3:6:1 2 3\n1 2 3:9:3 3 3\n2 3:5:2 3\n1 2:3:1 2")
+        order = build_total_order(compute_item_summaries(db))
+        utilities = {
+            # labels 3, 1 and 2 take ranks 0, 1 and 2
+            frozenset(db.positive_items): [(3, 2), (3, 2), (1, 2), (4, 1), (2, 2), (1, 2),
+                                           (3, 1, 2), (3, 1, 2), (3, 3, 3)],
+            # without label 3, every row but two ties on ranks (1, 2)
+            frozenset({0, 1}): [(2,), (2,), (1, 2), (1, 2), (4, 1), (2, 2), (1, 2), (3, 3),
+                                (1, 2)],
+        }
+        for keep, want in utilities.items():
+            rows = remap_database(db, order, set(keep))
+            assert rows == reference_rows(db, order, keep)
+            assert rows[1] == want
+
+    @pytest.mark.parametrize("shape", [(300, 6, (1, 9), 0.6), (40, 10, (1, 99), 0.0)],
+                             ids=["signed-sparse", "positive-dense"])
+    def test_memory_is_the_rows(self, shape):
+        # the build leaves nothing behind but its rows, and never holds
+        # much more than one copy of them; a batch of short tuples that
+        # died together would stay traced on the interpreter's free lists,
+        # which a full collection empties first
+        n_items, avg_len, utility_range, negative_fraction = shape
+        db = generate_synthetic(2000, n_items, avg_len, utility_range, negative_fraction, 3)
+        order = build_total_order(compute_item_summaries(db))
+        keep = db.positive_items | db.negative_items
+        started = not tracemalloc.is_tracing()
+        gc.collect()
+        if started:
+            tracemalloc.start()
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            rows = remap_database(db, order, keep)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        size = sum(sys.getsizeof(column) + sum(map(sys.getsizeof, column)) for column in rows)
+        assert current - base <= 1.10 * size
+        assert peak - base <= 1.6 * size
 
     @pytest.mark.parametrize("merged", [False, True], ids=["unmerged", "merged"])
     @pytest.mark.parametrize("dropping", [False, True], ids=["keep-all", "keep-some"])
@@ -373,7 +436,8 @@ class TestLayout:
                 assert 0 <= offset < len(items)
 
     def test_slotted_instances(self):
-        # one instance dict per transaction or projection would cost more
-        # than the fields it holds
+        # one instance dict per transaction, item summary or projection
+        # would cost more than the fields it holds
         assert not hasattr(Transaction(0, [0, 1], [2, 3], 5), "__dict__")
+        assert not hasattr(ItemSummary(0, 5, 5, 5, True), "__dict__")
         assert not hasattr(ProjectedDatabase([], [], [], [], []), "__dict__")

@@ -1,3 +1,6 @@
+import heapq
+import random
+
 import pytest
 from helpers import CheckingTopKStore
 
@@ -22,6 +25,18 @@ class TestRiuRaising:
     def test_k1(self):
         store = TopKStore(1)
         assert store.raise_to_kth([7]) == 7
+
+    def test_equals_nlargest(self):
+        # random lists with duplicates and negatives, of fewer than, exactly
+        # and more than k values, read once from a generator: the raise
+        # lands on the k-th largest value as ``heapq.nlargest`` gives it
+        rng = random.Random(5)
+        for k in (1, 2, 3, 7, 20):
+            for size in (0, 1, k - 1, k, k + 1, 3 * k, 50):
+                values = [rng.randint(-6, 6) for _ in range(size)]
+                best = heapq.nlargest(k, values)
+                want = max(1, best[-1]) if len(best) == k else 1
+                assert TopKStore(k).raise_to_kth(v for v in values) == want
 
 
 class TestOffer:
