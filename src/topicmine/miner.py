@@ -109,17 +109,16 @@ class _Search:
     can still place an itemset, and only a child that has some is projected
     and entered. A node's bound list is indexed by rank: RSU or RLU for the
     ``cutoff`` positive ranks, then the caps of the negative ranks up to
-    ``n`` when the node has any. ``eta`` holds the kept negative items.
+    ``n`` when the node has any.
     """
 
-    __slots__ = ("store", "config", "stats", "eta", "cutoff", "n", "live_views")
+    __slots__ = ("store", "config", "stats", "cutoff", "n", "live_views")
 
     def __init__(self, store: TopKStore, config: MinerConfig, stats: MineStats,
-                 eta: list[int], cutoff: int, n: int):
+                 cutoff: int, n: int):
         self.store = store
         self.config = config
         self.stats = stats
-        self.eta = eta
         self.cutoff = cutoff
         self.n = n
         self.live_views = 0
@@ -169,10 +168,9 @@ class _Search:
 
     def search(self, alpha: tuple[int, ...], pdb: ProjectedDatabase, buckets: dict[int, list],
                candidates: list[int], bound: list[int]) -> Iterator[Iterator]:
-        """Extend ``alpha`` with each item z of ``candidates`` that has a
-        bucket in ``buckets`` (``pdb``'s delivery), in candidate order, and
-        whose bound in ``pdb`` can still place an itemset by its turn when
-        subtree pruning is on. ``bound`` is RSU (RLU with subtree pruning
+        """Extend ``alpha`` with each item z of ``candidates``, in candidate
+        order, whose bound in ``pdb`` can still place an itemset by its turn
+        when subtree pruning is on. ``bound`` is RSU (RLU with subtree pruning
         off) for a positive item, the negative cap for a negative one. RLU
         never grows down the tree, but RSU can, since it counts the prefix:
         in the one transaction ``1 2 3:3:1 1 1``, item 2's RSU is 2 at the
@@ -180,28 +178,27 @@ class _Search:
         own node's bound, never a parent's. The threshold never falls, so a
         check that fails at one turn fails at every later one.
 
-        A positive z's child takes the items of ``eta`` that pass its caps,
-        when it strictly beats the threshold, and then the positive ranks
-        after z that pass its RSU or RLU filter; its caps fill its bound list
-        from rank ``cutoff`` on. The cap of w is the sum of the positive
-        prefix utility over the views holding w; every itemset under
-        ``beta + w`` adds only negative utilities over some of those views,
-        so it is worth less. A negative z's child holds only negative items
-        ranked after z and takes those that pass its caps. A child is built,
-        and entered by one sub-search, only when its list is non-empty. With
-        subtree pruning off, a positive extension's RLU is compared with the
-        threshold when the list is made, before the child's negative items
-        are searched."""
+        Every candidate has a bucket in ``buckets`` (``pdb``'s delivery): the
+        root's candidates are its delivered items, and an extension's bound
+        is at least 1, so it occurs in the child. A positive z's child takes
+        the negative ranks that pass its caps, when it strictly beats the
+        threshold, and then the positive ranks after z that pass its RSU or
+        RLU filter; its caps fill its bound list from rank ``cutoff`` on. The
+        cap of w is the sum of the positive prefix utility over the views
+        holding w; every itemset under ``beta + w`` adds only negative
+        utilities over some of those views, so it is worth less. A negative
+        z's child holds only negative items ranked after z and takes those
+        that pass its caps. A child is built, and entered by one sub-search,
+        only when its list is non-empty. With subtree pruning off, a positive
+        extension's RLU is compared with the threshold when the list is made,
+        before the child's negative items are searched."""
         store = self.store
-        eta = self.eta
         cutoff = self.cutoff
         n = self.n
         stats = self.stats
         subtree = self.config.enable_subtree_pruning
         for z in candidates:
-            occurrences = buckets.pop(z, None)
-            if occurrences is None:
-                continue
+            occurrences = buckets.pop(z)
             beta = alpha + (z,)
             if subtree and not store.can_place(bound[z], beta):
                 continue
@@ -211,17 +208,17 @@ class _Search:
                 store.offer(beta, utility)
                 extensions = self._survivors(beta, range(z + 1, cutoff), child_bound,
                                              store.min_util)
-                if eta and utility > store.min_util:
+                if cutoff < n and utility > store.min_util:
                     _, caps = compute_negative_caps(pdb, occurrences, cutoff, n)
                     caps[:cutoff] = child_bound
                     child_bound = caps
-                    extensions = self._survivors(beta, eta, caps) + extensions
+                    extensions = self._survivors(beta, range(cutoff, n), caps) + extensions
             else:
                 utility, child_bound = compute_negative_caps(pdb, occurrences, cutoff, n)
                 store.offer(beta, utility)
                 extensions = self._survivors(beta, range(z + 1, n), child_bound)
             if extensions:
-                child, child_buckets = self._enter(project(pdb, z, occurrences), extensions)
+                child, child_buckets = self._enter(project(pdb, occurrences), extensions)
                 stats.projections += 1
                 yield self.search(beta, child, child_buckets, extensions, child_bound)
                 self.live_views -= len(child.items)
@@ -229,14 +226,14 @@ class _Search:
 
 def _item_and_pair_utilities(summaries: list[ItemSummary], order: TotalOrder,
                              root: ProjectedDatabase, buckets: dict[int, list],
-                             positives: list[int], k: int) -> Iterator[int]:
+                             candidates: list[int], k: int) -> Iterator[int]:
     """Yield the exact utility of every item, then of every pair in the root
-    led by one of the k items of ``positives`` with the highest utility,
-    read from the root's ``buckets``. Each value belongs to a distinct
-    itemset, as the pair raise needs."""
+    led by one of the k root ``candidates`` with the highest utility (ties
+    in their ascending rank order), read from the root's ``buckets``. Each
+    value belongs to a distinct itemset, as the pair raise needs."""
     for s in summaries:
         yield s.utility
-    firsts = sorted(positives, key=lambda r: summaries[order.items[r]].utility, reverse=True)[:k]
+    firsts = sorted(candidates, key=lambda r: summaries[order.items[r]].utility, reverse=True)[:k]
     for _, row in compute_pair_rows(root, buckets, firsts):
         yield from row.values()
 
@@ -254,17 +251,14 @@ def mine(db: UtilityDatabase, config: MinerConfig) -> MineResult:
 
     # At the root, RLU collapses to RTWU for positive items. From here on
     # items are ranks; results are translated back through ``order.items``.
-    mu = store.min_util
-    kept = [r for r, i in enumerate(order.items) if summaries[i].rtwu >= mu]
-    positives = [r for r in kept if r < order.positive_cutoff]
-    eta = [r for r in kept if r >= order.positive_cutoff]
-
-    search = _Search(store, config, stats, eta, order.positive_cutoff, len(order.items))
-    root, buckets = search._enter(
-        build_root(remap_database(db, order, {order.items[r] for r in kept})), positives)
+    cutoff = order.positive_cutoff
+    search = _Search(store, config, stats, cutoff, len(order.items))
+    root, buckets = search._enter(build_root(remap_database(
+        db, order, {s.item for s in summaries if s.rtwu >= store.min_util})), range(cutoff))
+    candidates = sorted(buckets)
     store.raise_to_kth(
-        _item_and_pair_utilities(summaries, order, root, buckets, positives, config.k))
-    search.run(root, buckets, positives, compute_rsu(root, buckets, order.positive_cutoff))
+        _item_and_pair_utilities(summaries, order, root, buckets, candidates, config.k))
+    search.run(root, buckets, candidates, compute_rsu(root, buckets, cutoff))
 
     top_k = [(tuple(sorted(order.items[r] for r in itemset)), utility)
              for itemset, utility in store.results()]

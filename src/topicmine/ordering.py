@@ -147,7 +147,7 @@ def deliver(pdb: ProjectedDatabase, wanted) -> dict[int, list]:
     return buckets
 
 
-def project(pdb: ProjectedDatabase, x: int, occurrences) -> ProjectedDatabase:
+def project(pdb: ProjectedDatabase, occurrences) -> ProjectedDatabase:
     """Project on item x: keep views containing x, advance offsets past x, and
     fold U(x, view) into each prefix utility.
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import heapq
+import sys
 from collections.abc import Iterable
 from itertools import islice
 
@@ -51,7 +52,8 @@ class TopKStore:
         new threshold, so none of the top k falls below it. Only k values
         are held at once, in a heap of plain values."""
         values = iter(values)
-        best = list(islice(values, self.k))
+        # islice rejects a stop above sys.maxsize, and no run offers more values
+        best = list(islice(values, min(self.k, sys.maxsize)))
         if len(best) == self.k:
             heapq.heapify(best)
             for value in values:

@@ -62,8 +62,8 @@ def bucket(pdb, z):
 
 
 def project_on(pdb, z):
-    """``project(pdb, z)`` on the bucket that ``deliver`` finds for z."""
-    return project(pdb, z, bucket(pdb, z))
+    """The projection of ``pdb`` on z, from the bucket that ``deliver`` finds for z."""
+    return project(pdb, bucket(pdb, z))
 
 
 def view_fields(pdb):
@@ -218,7 +218,7 @@ def check_bound_soundness(db: UtilityDatabase) -> int:
                      compute_negative_caps(pdb, occurrences, cutoff, m))
             exact = util[as_ids(prefix + (z,))]
             violations += sum(utility != exact for utility, _ in scans)
-            child = project(pdb, z, occurrences)
+            child = project(pdb, occurrences)
             cm, cc = dfs(prefix + (z,), child, *(bound for _, bound in scans))
             child_max[z] = cm
             child_containing[z] = cc

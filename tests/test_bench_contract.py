@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import topicmine.miner as miner_module
-from topicmine import MinerConfig, mine
+from topicmine import MinerConfig, generate_synthetic, mine
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -71,3 +71,24 @@ def test_mine_calls_every_wrapped_function(bench, example_db, monkeypatch):
         monkeypatch.setattr(miner_module, name, counting(name, getattr(miner_module, name)))
     mine(example_db, MinerConfig(5))
     assert [name for name in tracing._WRAPPED if not calls[name]] == []
+
+
+# The repeat figures of each benchmark workload at seed 11, named here so
+# that a workload added to bench/ later needs no entry. The benchmark only
+# compares them with a recorded run of the same code, so a change that
+# moves them must show here.
+BENCH_GOLDEN = {
+    "sparse-neg": (2483, 146, 1099, 8026, 1, 54),
+    "dense-pos": (1942, 261, 6239, 3952, 1, 21270),
+    "wide-shallow": (394, 0, 4, 7996, 1, 318),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_GOLDEN))
+def test_bench_counters_at_seed_11(bench, name):
+    run, _ = bench
+    workload = run.WORKLOADS[name]
+    result = mine(generate_synthetic(*workload.generator_args(11)), MinerConfig(workload.k))
+    fields = ("miner.candidates", "miner.projections", "miner.merges", "miner.peak_entries",
+              "topk.threshold_raises", "final_min_util")
+    assert run.repeat_figures(result) == dict(zip(fields, BENCH_GOLDEN[name]))

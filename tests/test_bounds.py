@@ -118,7 +118,7 @@ class TestArrays:
         for db, cutoff, prefix, pdb, z, occurrences in campaign_buckets(merged):
             n = db.item_count
             positives, negatives = range(cutoff), range(cutoff, n)
-            child = project(pdb, z, occurrences)
+            child = project(pdb, occurrences)
             if merged:
                 child = merge_identical(child)
             _, rlu = compute_bounds(pdb, occurrences, cutoff, False)
@@ -149,7 +149,7 @@ class TestArrays:
         for db, cutoff, prefix, pdb, z, occurrences in campaign_buckets(merged):
             n = db.item_count
             exact = exact_utility(db, prefix + (z,))
-            plain = project(pdb, z, occurrences)
+            plain = project(pdb, occurrences)
             for child in (plain, merge_identical(plain)):
                 folded += len(plain.items) - len(child.items)
                 ref_rlu, ref_rsu = reference_bounds(child)

@@ -31,6 +31,12 @@ class TestMine:
         assert list(report["result"]["stats"]) == [
             "candidates", "projections", "merges", "runtime_ms", "peak_entries"]
 
+    def test_k_above_sys_maxsize(self, example_file, capsys):
+        k = "100000000000000000000"
+        assert main(["mine", "--input", example_file, "--k", k, "--format", "json"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["result"]["top_k"]) == 13  # every itemset worth at least 1
+
     def test_k_zero_is_usage_error(self, example_file):
         with pytest.raises(SystemExit) as exc:
             main(["mine", "--input", example_file, "--k", "0"])

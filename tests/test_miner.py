@@ -442,6 +442,65 @@ def test_negative_entry_is_cut_by_caps(monkeypatch):
         assert offered_an == (name in ("merge-only", "none")), name
 
 
+ROOT_FILTER_GOLDEN = {  # per k and variant, counters as in COUNTER_GOLDEN
+    1: {
+        "full": (2, 1, 1, 3, 40),
+        "merge-only": (3, 1, 1, 3, 40),
+        "subtree-only": (2, 1, 0, 5, 40),
+        "none": (3, 1, 0, 5, 40),
+    },
+    2: {
+        "full": (3, 1, 1, 3, 32),
+        "merge-only": (3, 1, 1, 3, 32),
+        "subtree-only": (3, 1, 0, 5, 32),
+        "none": (3, 1, 0, 5, 32),
+    },
+}
+
+
+def test_items_dropped_by_the_root_filter_are_never_candidates(monkeypatch):
+    # The RIU raise lifts the threshold above the RTWU of labels 3
+    # (positive), 4 and 5 (negative), so the root drops them. Label 5 keeps
+    # its rank, so the negative caps of the pair {1, 2}, which beats the
+    # threshold at k=2, cover it; every dropped rank reads 0 in any caps
+    # scan, and none of them is ever offered.
+    db = parse_spmf("1 2:20:10 10\n1 2:20:10 10\n3 4:3:4 -1\n1 5:11:12 -1\n")
+    rank = build_total_order(compute_item_summaries(db)).rank
+    dropped = {rank[db.labels.index(label)] for label in (3, 4, 5)}
+    stores = []
+    caps_read = []
+
+    class Recording(CheckingTopKStore):
+        def __init__(self, k):
+            super().__init__(k)
+            stores.append(self)
+
+    compute_negative_caps = topicmine.miner.compute_negative_caps
+
+    def scanning(*args):
+        utility, caps = compute_negative_caps(*args)
+        caps_read.extend(caps[r] for r in dropped)
+        return utility, caps
+
+    monkeypatch.setattr(topicmine.miner, "TopKStore", Recording)
+    monkeypatch.setattr(topicmine.miner, "compute_negative_caps", scanning)
+    for k, golden in ROOT_FILTER_GOLDEN.items():
+        expected = enumerate_topk(db, k).top_k
+        for name in VARIANT_NAMES:
+            result = mine(db, MinerConfig.variant(k, name))
+            st = result.stats
+            assert result.top_k == expected, (k, name)
+            assert not any(itemset & dropped for itemset in stores[-1].offered), (k, name)
+            got = (st.candidates, st.projections, st.merges, st.peak_entries,
+                   result.final_min_util)
+            assert got == golden[name], (k, name)
+    assert not any(caps_read)
+
+
+def test_k_above_sys_maxsize_matches_oracle(example_db):
+    assert mine(example_db, MinerConfig(10**20)).top_k == enumerate_topk(example_db, 10**20).top_k
+
+
 def test_pair_raise_reaches_kth_item_or_pair_utility():
     # with k above the item count the single items cannot raise the
     # threshold, so its first raise is the pair raise: the k-th largest exact

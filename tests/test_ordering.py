@@ -266,7 +266,7 @@ def delivered_children(pdb, wanted, merging, cutoff):
             assert expected == [] and utility == 0
             continue
         assert compute_bounds(pdb, buckets[z], cutoff)[0] == utility
-        child = project(pdb, z, buckets[z])
+        child = project(pdb, buckets[z])
         assert list(view_fields(child)) == expected
         children[z] = merge_identical(child) if merging else child
     return children
@@ -368,7 +368,7 @@ class TestMerge:
         for db, _, prefix, pdb in campaign_nodes(merged):
             last = prefix[-1] if prefix else -1
             for z, occurrences in deliver(pdb, set(range(last + 1, db.item_count))).items():
-                plain = project(pdb, z, occurrences)
+                plain = project(pdb, occurrences)
                 pairs = iter(occurrences)
                 kept = [i for i, p in zip(pairs, pairs) if p + 1 < len(pdb.items[i])]
                 assert len(plain.items) == len(kept)
@@ -412,7 +412,7 @@ class TestMerge:
             snapshot = list(view_fields(pdb))
             last = prefix[-1] if prefix else -1
             for z, occurrences in deliver(pdb, set(range(last + 1, db.item_count))).items():
-                child = project(pdb, z, occurrences)
+                child = project(pdb, occurrences)
                 assert merged_views(merge_identical(child)) == reference_merge(child)
             assert list(view_fields(pdb)) == snapshot
 

@@ -1,5 +1,6 @@
 import heapq
 import random
+import sys
 
 import pytest
 from helpers import CheckingTopKStore
@@ -25,6 +26,10 @@ class TestRiuRaising:
     def test_k1(self):
         store = TopKStore(1)
         assert store.raise_to_kth([7]) == 7
+
+    def test_k_above_sys_maxsize_leaves_threshold(self):
+        # fewer than k values never raise, however large k is
+        assert TopKStore(sys.maxsize + 1).raise_to_kth([3, 2]) == 1
 
     def test_equals_nlargest(self):
         # random lists with duplicates and negatives, of fewer than, exactly
