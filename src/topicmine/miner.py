@@ -191,7 +191,14 @@ class _Search:
         that pass its caps. A child is built, and entered by one sub-search,
         only when its list is non-empty. With subtree pruning off, a positive
         extension's RLU is compared with the threshold when the list is made,
-        before the child's negative items are searched."""
+        before the child's negative items are searched.
+
+        A positive z's RSU scan is given z's bound in ``pdb`` and the
+        threshold read before the child is offered, and stops once no
+        positive extension can reach that threshold; the threshold only
+        rises, so the extensions are the same. A child whose scan stopped
+        still takes its caps when it beats the threshold, and the partial
+        positive part of its bound list is never read."""
         store = self.store
         cutoff = self.cutoff
         n = self.n
@@ -204,7 +211,8 @@ class _Search:
                 continue
             stats.candidates += 1
             if z < cutoff:
-                utility, child_bound = compute_bounds(pdb, occurrences, cutoff, subtree)
+                utility, child_bound = compute_bounds(pdb, occurrences, cutoff, subtree,
+                                                      bound[z], store.min_util)
                 store.offer(beta, utility)
                 extensions = self._survivors(beta, range(z + 1, cutoff), child_bound,
                                              store.min_util)
@@ -252,7 +260,12 @@ def mine(db: UtilityDatabase, config: MinerConfig) -> MineResult:
     # At the root, RLU collapses to RTWU for positive items. From here on
     # items are ranks; results are translated back through ``order.items``.
     cutoff = order.positive_cutoff
-    search = _Search(store, config, stats, cutoff, len(order.items))
+    n = len(order.items)
+    if cutoff < n and summaries[order.items[-1]].rtwu < store.min_util:
+        # negatives are ranked by ascending RTWU: the root filter drops the
+        # last one, so it drops them all and no child needs a negative cap
+        n = cutoff
+    search = _Search(store, config, stats, cutoff, n)
     root, buckets = search._enter(build_root(remap_database(
         db, order, {s.item for s in summaries if s.rtwu >= store.min_util})), range(cutoff))
     candidates = sorted(buckets)

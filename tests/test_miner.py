@@ -460,15 +460,15 @@ ROOT_FILTER_GOLDEN = {  # per k and variant, counters as in COUNTER_GOLDEN
 
 def test_items_dropped_by_the_root_filter_are_never_candidates(monkeypatch):
     # The RIU raise lifts the threshold above the RTWU of labels 3
-    # (positive), 4 and 5 (negative), so the root drops them. Label 5 keeps
-    # its rank, so the negative caps of the pair {1, 2}, which beats the
-    # threshold at k=2, cover it; every dropped rank reads 0 in any caps
-    # scan, and none of them is ever offered.
+    # (positive), 4 and 5 (negative), so the root drops them. With no
+    # negative item left, no child runs a caps scan, not even the pair
+    # {1, 2}, which beats the threshold at k=2; and no dropped rank is ever
+    # offered.
     db = parse_spmf("1 2:20:10 10\n1 2:20:10 10\n3 4:3:4 -1\n1 5:11:12 -1\n")
     rank = build_total_order(compute_item_summaries(db)).rank
     dropped = {rank[db.labels.index(label)] for label in (3, 4, 5)}
     stores = []
-    caps_read = []
+    caps_scans = []
 
     class Recording(CheckingTopKStore):
         def __init__(self, k):
@@ -478,9 +478,8 @@ def test_items_dropped_by_the_root_filter_are_never_candidates(monkeypatch):
     compute_negative_caps = topicmine.miner.compute_negative_caps
 
     def scanning(*args):
-        utility, caps = compute_negative_caps(*args)
-        caps_read.extend(caps[r] for r in dropped)
-        return utility, caps
+        caps_scans.append(args)
+        return compute_negative_caps(*args)
 
     monkeypatch.setattr(topicmine.miner, "TopKStore", Recording)
     monkeypatch.setattr(topicmine.miner, "compute_negative_caps", scanning)
@@ -494,7 +493,49 @@ def test_items_dropped_by_the_root_filter_are_never_candidates(monkeypatch):
             got = (st.candidates, st.projections, st.merges, st.peak_entries,
                    result.final_min_util)
             assert got == golden[name], (k, name)
-    assert not any(caps_read)
+    assert caps_scans == []
+
+
+@pytest.mark.parametrize("variant", ["full", "subtree-only"])
+def test_stopped_bound_scans_change_no_result_or_counter(monkeypatch, variant):
+    # On this dense instance many positive children's RSU scans stop early,
+    # some of them on children that still beat the threshold and go on to
+    # their negative extensions. Each run keeps the oracle's top-k, and the
+    # result, every counter and the threshold history of a run whose scans
+    # read every view.
+    db = generate_synthetic(300, 14, 9, (1, 5), 0.3, seed=1)
+    compute_bounds = topicmine.miner.compute_bounds
+    compute_negative_caps = topicmine.miner.compute_negative_caps
+    stopped = []
+    capped = []
+
+    def stopping(pdb, occurrences, cutoff, subtree, rsu, mu):
+        result = compute_bounds(pdb, occurrences, cutoff, subtree, rsu, mu)
+        if result != compute_bounds(pdb, occurrences, cutoff, subtree):
+            stopped.append(occurrences)
+        return result
+
+    def capping(pdb, occurrences, cutoff, n):
+        capped.append(bool(stopped) and stopped[-1] is occurrences)
+        return compute_negative_caps(pdb, occurrences, cutoff, n)
+
+    def reading_every_view(pdb, occurrences, cutoff, subtree, rsu, mu):
+        return compute_bounds(pdb, occurrences, cutoff, subtree)
+
+    monkeypatch.setattr(topicmine.miner, "compute_negative_caps", capping)
+    for k in (1, 10, 50):
+        config = MinerConfig.variant(k, variant)
+        monkeypatch.setattr(topicmine.miner, "compute_bounds", stopping)
+        early = mine(db, config)
+        monkeypatch.setattr(topicmine.miner, "compute_bounds", reading_every_view)
+        full = mine(db, config)
+        assert early.top_k == full.top_k == enumerate_topk(db, k).top_k, k
+        assert early.final_min_util == full.final_min_util, k
+        assert early.min_util_history == full.min_util_history, k
+        early.stats.runtime_ms = full.stats.runtime_ms = 0
+        assert early.stats == full.stats, k
+    assert len(stopped) > 100
+    assert sum(capped) > 0
 
 
 def test_k_above_sys_maxsize_matches_oracle(example_db):
