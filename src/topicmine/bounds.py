@@ -169,13 +169,14 @@ def compute_pair_rows(
     root: ProjectedDatabase, buckets: dict[int, list], firsts: Iterable[int]
 ) -> Iterator[tuple[int, dict[int, int]]]:
     """Exact pair utilities of the (merged or unmerged) root, one row at a
-    time: for each item ``a`` of ``firsts`` that has a bucket in
-    ``buckets`` (the root's delivery), yield ``(a, row)`` where ``row[b]``
-    is U({a, b}) for every item b ranked after a in a view holding a. The
-    buckets are read, not consumed, and only one row is alive at a time."""
+    time: for each item ``a`` of ``firsts``, which must have a bucket in
+    ``buckets`` (the root's delivery; every ranked item occurs in the root),
+    yield ``(a, row)`` where ``row[b]`` is U({a, b}) for every item b ranked
+    after a in a view holding a. The buckets are read, not consumed, and
+    only one row is alive at a time."""
     item_rows = root.items
     utility_rows = root.utilities
-    for a in sorted(set(firsts) & buckets.keys()):
+    for a in firsts:
         row: dict[int, int] = {}
         pairs = iter(buckets[a])
         for i, p in zip(pairs, pairs):

@@ -1,11 +1,12 @@
 """Top-k high-utility itemset miner for positive and negative utilities.
 
-:func:`mine` raises the threshold from single-item utilities, prunes the
-database and renames its items to their processing ranks, and builds and
-enters the root like every other node: merged, then delivered once. From
-the root's buckets it raises the threshold again to the k-th largest exact
-utility among the single items and the item pairs that co-occur in the root
-(the CUD strategy of kHMC), then reads the root's RSU, and the search pops
+:func:`mine` raises the threshold from single-item utilities, ranks only
+the items whose RTWU reaches it, renames them to their ranks in the
+database, dropping the rest, and builds and enters the root like every
+other node: merged, then delivered once. From the root's buckets it raises
+the threshold again to the k-th largest exact utility among the single
+items and the item pairs that co-occur in the root (the CUD strategy of
+kHMC), then reads the root's RSU, and the search pops
 its children from the same buckets. The search is depth-first over ranks,
 where every positive item precedes every negative one, and runs in one loop
 over an explicit stack, so it has no depth limit. Every node goes through
@@ -109,7 +110,8 @@ class _Search:
     can still place an itemset, and only a child that has some is projected
     and entered. A node's bound list is indexed by rank: RSU or RLU for the
     ``cutoff`` positive ranks, then the caps of the negative ranks up to
-    ``n`` when the node has any.
+    ``n`` when the node has any. Only the ``n`` items the root keeps are
+    ranked, and each of them occurs in the root.
     """
 
     __slots__ = ("store", "config", "stats", "cutoff", "n", "live_views")
@@ -179,19 +181,20 @@ class _Search:
         check that fails at one turn fails at every later one.
 
         Every candidate has a bucket in ``buckets`` (``pdb``'s delivery): the
-        root's candidates are its delivered items, and an extension's bound
-        is at least 1, so it occurs in the child. A positive z's child takes
-        the negative ranks that pass its caps, when it strictly beats the
-        threshold, and then the positive ranks after z that pass its RSU or
-        RLU filter; its caps fill its bound list from rank ``cutoff`` on. The
-        cap of w is the sum of the positive prefix utility over the views
-        holding w; every itemset under ``beta + w`` adds only negative
-        utilities over some of those views, so it is worth less. A negative
-        z's child holds only negative items ranked after z and takes those
-        that pass its caps. A child is built, and entered by one sub-search,
-        only when its list is non-empty. With subtree pruning off, a positive
-        extension's RLU is compared with the threshold when the list is made,
-        before the child's negative items are searched.
+        root's candidates are its positive ranks, each of which occurs in the
+        root, and an extension's bound is at least 1, so it occurs in the
+        child. A positive z's child takes the negative ranks that pass its
+        caps, when it strictly beats the threshold, and then the positive
+        ranks after z that pass its RSU or RLU filter; its caps fill its
+        bound list from rank ``cutoff`` on. The cap of w is the sum of the
+        positive prefix utility over the views holding w; every itemset
+        under ``beta + w`` adds only negative utilities over some of those
+        views, so it is worth less. A negative z's child holds only negative
+        items ranked after z and takes those that pass its caps. A child is
+        built, and entered by one sub-search, only when its list is
+        non-empty. With subtree pruning off, a positive extension's RLU is
+        compared with the threshold when the list is made, before the
+        child's negative items are searched.
 
         A positive z's RSU scan is given z's bound in ``pdb`` and the
         threshold read before the child is offered, and stops once no
@@ -234,7 +237,7 @@ class _Search:
 
 def _item_and_pair_utilities(summaries: list[ItemSummary], order: TotalOrder,
                              root: ProjectedDatabase, buckets: dict[int, list],
-                             candidates: list[int], k: int) -> Iterator[int]:
+                             candidates: Iterable[int], k: int) -> Iterator[int]:
     """Yield the exact utility of every item, then of every pair in the root
     led by one of the k root ``candidates`` with the highest utility (ties
     in their ascending rank order), read from the root's ``buckets``. Each
@@ -253,22 +256,18 @@ def mine(db: UtilityDatabase, config: MinerConfig) -> MineResult:
     t0 = time.perf_counter()
     stats = MineStats()
     summaries = compute_item_summaries(db)
-    order = build_total_order(summaries)
     store = TopKStore(config.k)
     store.raise_to_kth(compute_riu(summaries))
 
-    # At the root, RLU collapses to RTWU for positive items. From here on
-    # items are ranks; results are translated back through ``order.items``.
+    # An itemset holding an item whose RTWU (at the root, a positive item's
+    # RLU) is below the threshold is worth less, so only the other items are
+    # ranked. From here on items are ranks; results are translated back
+    # through ``order.items``.
+    order = build_total_order([s for s in summaries if s.rtwu >= store.min_util])
     cutoff = order.positive_cutoff
-    n = len(order.items)
-    if cutoff < n and summaries[order.items[-1]].rtwu < store.min_util:
-        # negatives are ranked by ascending RTWU: the root filter drops the
-        # last one, so it drops them all and no child needs a negative cap
-        n = cutoff
-    search = _Search(store, config, stats, cutoff, n)
-    root, buckets = search._enter(build_root(remap_database(
-        db, order, {s.item for s in summaries if s.rtwu >= store.min_util})), range(cutoff))
-    candidates = sorted(buckets)
+    search = _Search(store, config, stats, cutoff, len(order.items))
+    root, buckets = search._enter(build_root(remap_database(db, order)), range(cutoff))
+    candidates = range(cutoff)
     store.raise_to_kth(
         _item_and_pair_utilities(summaries, order, root, buckets, candidates, config.k))
     search.run(root, buckets, candidates, compute_rsu(root, buckets, cutoff))

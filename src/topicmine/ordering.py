@@ -1,12 +1,13 @@
 """Total item order, database rewrite, and offset-based projection/merging.
 
-The processing order puts positive items before negative ones; within each
-sign class items ascend by RTWU with raw-label ties broken ascending.
-:func:`remap_database` turns the input transactions into the root's rows
-in one step, renaming every item to its rank in that order, so all rows and
-views below it hold ranks, and an item precedes another exactly when its id
-is smaller. Every item has one fixed sign and no utility is zero, so an
-occurrence's sign is read from its utility. Rows are sorted
+The processing order ranks only the items the root keeps, positive items
+before negative ones; within each sign class items ascend by RTWU with
+raw-label ties broken ascending. :func:`remap_database` turns the input
+transactions into the root's rows in one step, dropping every unranked item
+and renaming every other to its rank, so all rows and views below it hold
+ranks, every rank occurs in the root, and an item precedes another exactly
+when its id is smaller. Every item has one fixed sign and no utility is
+zero, so an occurrence's sign is read from its utility. Rows are sorted
 backward-lexicographically so that identical projected suffixes end up
 adjacent, and they stay so under projection, which lets merging fold each
 view into the previous one in one pass over the views.
@@ -37,39 +38,37 @@ from .database import ItemSummary, UtilityDatabase
 
 @dataclass(frozen=True)
 class TotalOrder:
-    rank: list[int]          # item id -> rank
     items: list[int]         # rank -> item id
     positive_cutoff: int     # first rank held by a negative item
 
 
 def build_total_order(summaries: list[ItemSummary]) -> TotalOrder:
-    """Rank items: positives by ascending RTWU, then negatives by ascending
-    RTWU; ties broken by item id (dense ids follow raw-label order)."""
+    """Rank the items of ``summaries``: positives by ascending RTWU, then
+    negatives by ascending RTWU; ties broken by item id (dense ids follow
+    raw-label order). The miner passes only the items its root keeps."""
     positives = sorted((s for s in summaries if s.positive), key=lambda s: (s.rtwu, s.item))
     negatives = sorted((s for s in summaries if not s.positive), key=lambda s: (s.rtwu, s.item))
-    ordered = [s.item for s in positives] + [s.item for s in negatives]
-    rank = [0] * len(ordered)
-    for r, item in enumerate(ordered):
-        rank[item] = r
-    return TotalOrder(rank, ordered, len(positives))
+    return TotalOrder([s.item for s in positives + negatives], len(positives))
 
 
-def remap_database(db: UtilityDatabase, order: TotalOrder,
-                   keep: set[int]) -> tuple[list[tuple], list[tuple]]:
+def remap_database(db: UtilityDatabase, order: TotalOrder) -> tuple[list[tuple], list[tuple]]:
     """Build the root's rows as two lists, ``(items, utilities)``: drop
-    items (dense ids) outside ``keep``, drop emptied transactions, rename
-    items to their ranks in ascending order, and sort the rows
-    backward-lexicographically (shorter suffix first), ties in transaction
-    order. A row's sort key is its ranks as a descending list: short tuples
-    that die in one batch would stay allocated on the interpreter's free
-    lists for the rest of the run. The walk over the sorted permutation
-    builds each row's two exact-size tuples and drops its key and its
-    descending utilities at once, so the rows are never held twice."""
-    rank = order.rank
+    items (dense ids) that ``order`` does not rank, drop emptied
+    transactions, rename items to their ranks in ascending order, and sort
+    the rows backward-lexicographically (shorter suffix first), ties in
+    transaction order. The item-to-rank list lives only for the call. A
+    row's sort key is its ranks as a descending list: short tuples that die
+    in one batch would stay allocated on the interpreter's free lists for
+    the rest of the run. The walk over the sorted permutation builds each
+    row's two exact-size tuples and drops its key and its descending
+    utilities at once, so the rows are never held twice."""
+    rank = [None] * db.item_count
+    for r, item in enumerate(order.items):
+        rank[item] = r
     keys = []
     descending = []
     for t in db.transactions:
-        row = {rank[i]: u for i, u in zip(t.items, t.utilities) if i in keep}
+        row = {rank[i]: u for i, u in zip(t.items, t.utilities) if rank[i] is not None}
         if row:
             key = sorted(row, reverse=True)
             keys.append(key)

@@ -125,8 +125,7 @@ def campaign_nodes(merged):
         for nf in (0.0, 0.3, 0.6):
             db = campaign_db(seed, nf)
             order = build_total_order(compute_item_summaries(db))
-            root = enter(build_root(
-                remap_database(db, order, db.positive_items | db.negative_items)))
+            root = enter(build_root(remap_database(db, order)))
             for prefix, pdb in nodes_to_depth_two(root, db.item_count, enter):
                 yield db, order.positive_cutoff, prefix, pdb
 
@@ -139,6 +138,11 @@ def campaign_buckets(merged):
         last = prefix[-1] if prefix else -1
         for z, occurrences in sorted(deliver(pdb, set(range(last + 1, db.item_count))).items()):
             yield db, cutoff, prefix, pdb, z, occurrences
+
+
+def rank_map(order):
+    """Item id -> rank for every item that ``order`` ranks."""
+    return {item: r for r, item in enumerate(order.items)}
 
 
 def exact_utility(db, ranks):
@@ -185,7 +189,7 @@ def check_bound_soundness(db: UtilityDatabase) -> int:
         return 0
     summaries = compute_item_summaries(db)
     order = build_total_order(summaries)
-    root = build_root(remap_database(db, order, db.positive_items | db.negative_items))
+    root = build_root(remap_database(db, order))
     util = all_supported_utilities(db)
     by_rank = order.items
     m = db.item_count
@@ -253,8 +257,7 @@ def reconstruct_merged(db: UtilityDatabase) -> UtilityDatabase:
     """Database equivalent of the fully merged top-level projection."""
     summaries = compute_item_summaries(db)
     order = build_total_order(summaries)
-    everything = db.positive_items | db.negative_items
-    merged = merge_identical(build_root(remap_database(db, order, everything)))
+    merged = merge_identical(build_root(remap_database(db, order)))
     lines = []
     for ranks, utilities, offset, _, _ in view_fields(merged):
         labelled = sorted(

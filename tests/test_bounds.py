@@ -8,6 +8,7 @@ from helpers import (
     example_database,
     exact_utility,
     project_on,
+    rank_map,
     reference_bounds,
     reference_negative_caps,
     view_fields,
@@ -37,8 +38,9 @@ def rooted(db, ids=None):
     the fixture's dense ids, the same names mapped to the ranks the
     projection holds."""
     order = build_total_order(compute_item_summaries(db))
-    root = build_root(remap_database(db, order, db.positive_items | db.negative_items))
-    ranks = {name: order.rank[i] for name, i in (ids or {}).items()}
+    root = build_root(remap_database(db, order))
+    rank = rank_map(order)
+    ranks = {name: rank[i] for name, i in (ids or {}).items()}
     return root, ranks, order.positive_cutoff
 
 
@@ -290,8 +292,9 @@ class TestPairRows:
             for b, utility in row.items():
                 got[a, b] = utility
         expected = {}
+        rank = rank_map(order)
         for t in db.transactions:
-            ranks = sorted(order.rank[i] for i in t.items)
+            ranks = sorted(rank[i] for i in t.items)
             for x, a in enumerate(ranks):
                 if a < order.positive_cutoff:
                     for b in ranks[x + 1:]:

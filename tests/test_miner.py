@@ -10,6 +10,7 @@ from helpers import (
     campaign_db,
     example_database,
     mine_all_variants,
+    rank_map,
 )
 
 from hypothesis import given, settings
@@ -276,7 +277,7 @@ class TestAblationStats:
         search = topicmine.miner._Search.search
 
         def entering(self, prefix, pdb, buckets, candidates, bound):
-            entered.append((pdb, candidates))
+            entered.append((pdb, candidates, self.cutoff))
             return search(self, prefix, pdb, buckets, candidates, bound)
 
         monkeypatch.setattr(topicmine.miner, "project", projecting)
@@ -284,7 +285,6 @@ class TestAblationStats:
         monkeypatch.setattr(topicmine.miner._Search, "search", entering)
         leaves = negative_searches = 0
         for db in (example_db, campaign_db(4, 0.3), campaign_db(9, 0.6)):
-            cutoff = build_total_order(compute_item_summaries(db)).positive_cutoff
             for name in VARIANT_NAMES:
                 for log in (built, received, returned, entered):
                     log.clear()
@@ -292,11 +292,11 @@ class TestAblationStats:
                 assert stats.projections == len(built), name
                 # the root is the one node entered that was not built here
                 assert [id(child) for child in built] == [id(pdb) for pdb in received[1:]], name
-                assert [id(node) for node in returned] == [id(pdb) for pdb, _ in entered], name
+                assert [id(node) for node in returned] == [id(pdb) for pdb, _, _ in entered], name
                 _, *searched = entered
                 leaves += stats.candidates - stats.projections
                 negative_searches += sum(any(w >= cutoff for w in candidates)
-                                         for _, candidates in searched)
+                                         for _, candidates, cutoff in searched)
         assert leaves > 0 and negative_searches > 0
 
     def test_every_built_child_has_a_view(self, example_db, monkeypatch):
@@ -414,6 +414,19 @@ def test_counters_match_golden(db_name):
         assert result.min_util_history == HISTORY_GOLDEN[db_name], name
 
 
+def capture_orders(monkeypatch):
+    """A list that collects every order ``mine`` builds: the miner ranks
+    only the items its root keeps, so a test reads its ranks from there."""
+    orders = []
+
+    def ordering(summaries):
+        orders.append(build_total_order(summaries))
+        return orders[-1]
+
+    monkeypatch.setattr(topicmine.miner, "build_total_order", ordering)
+    return orders
+
+
 def test_negative_entry_is_cut_by_caps(monkeypatch):
     # A (label 1) wins with 11 > threshold 9 (the pair {A, C} at k=2), so
     # A's negative extensions are filtered by their caps. N (label 4)
@@ -422,8 +435,7 @@ def test_negative_entry_is_cut_by_caps(monkeypatch):
     # root's RTWU filter.
     db = parse_spmf("1:10:10\n1 3 4:8:1 8 -1\n2:5:5")
     a, n = db.labels.index(1), db.labels.index(4)
-    order = build_total_order(compute_item_summaries(db))
-    rank = {item: r for r, item in enumerate(order.items)}
+    orders = capture_orders(monkeypatch)
     stores = []
 
     class Recording(CheckingTopKStore):
@@ -438,6 +450,7 @@ def test_negative_entry_is_cut_by_caps(monkeypatch):
         result = mine(db, MinerConfig.variant(2, name))
         assert result.top_k == expected, name
         assert result.final_min_util == 9, name
+        rank = rank_map(orders[-1])
         offered_an = frozenset((rank[a], rank[n])) in stores[-1].offered
         assert offered_an == (name in ("merge-only", "none")), name
 
@@ -462,11 +475,10 @@ def test_items_dropped_by_the_root_filter_are_never_candidates(monkeypatch):
     # The RIU raise lifts the threshold above the RTWU of labels 3
     # (positive), 4 and 5 (negative), so the root drops them. With no
     # negative item left, no child runs a caps scan, not even the pair
-    # {1, 2}, which beats the threshold at k=2; and no dropped rank is ever
-    # offered.
+    # {1, 2}, which beats the threshold at k=2; and no dropped label is
+    # ever offered.
     db = parse_spmf("1 2:20:10 10\n1 2:20:10 10\n3 4:3:4 -1\n1 5:11:12 -1\n")
-    rank = build_total_order(compute_item_summaries(db)).rank
-    dropped = {rank[db.labels.index(label)] for label in (3, 4, 5)}
+    orders = capture_orders(monkeypatch)
     stores = []
     caps_scans = []
 
@@ -489,11 +501,47 @@ def test_items_dropped_by_the_root_filter_are_never_candidates(monkeypatch):
             result = mine(db, MinerConfig.variant(k, name))
             st = result.stats
             assert result.top_k == expected, (k, name)
-            assert not any(itemset & dropped for itemset in stores[-1].offered), (k, name)
+            offered = {db.labels[orders[-1].items[r]]
+                       for itemset in stores[-1].offered for r in itemset}
+            assert not offered & {3, 4, 5}, (k, name)
             got = (st.candidates, st.projections, st.merges, st.peak_entries,
                    result.final_min_util)
             assert got == golden[name], (k, name)
     assert caps_scans == []
+
+
+def test_root_filter_drops_some_negative_items(monkeypatch):
+    # The RIU raise (threshold 39 at k=3) lifts the threshold above the
+    # RTWU of 3 of the 5 negative items and of no positive one. Only the 5
+    # kept items (3 positive, 2 negative) are ranked, so every caps list
+    # spans 5 ranks, and the root's delivery holds a bucket for every
+    # positive rank.
+    db = generate_synthetic(20, 8, 4, (1, 9), 0.6, 2)
+    summaries = compute_item_summaries(db)
+    assert (len(db.positive_items), len(db.negative_items)) == (3, 5)
+    assert sorted(s.positive for s in summaries if s.rtwu < 39) == [False] * 3
+    ns = []
+    root_buckets = []
+    compute_negative_caps = topicmine.miner.compute_negative_caps
+    run = topicmine.miner._Search.run
+
+    def capping(pdb, occurrences, cutoff, n):
+        ns.append(n)
+        return compute_negative_caps(pdb, occurrences, cutoff, n)
+
+    def running(self, root, buckets, candidates, rsu):
+        root_buckets.append(sorted(buckets) == list(range(self.cutoff)))
+        return run(self, root, buckets, candidates, rsu)
+
+    monkeypatch.setattr(topicmine.miner, "compute_negative_caps", capping)
+    monkeypatch.setattr(topicmine.miner._Search, "run", running)
+    expected = enumerate_topk(db, 3).top_k
+    for name in VARIANT_NAMES:
+        result = mine(db, MinerConfig.variant(3, name))
+        assert result.top_k == expected, name
+        assert result.min_util_history[1] == 39, name
+    assert ns and set(ns) == {5}
+    assert root_buckets == [True] * len(VARIANT_NAMES)
 
 
 @pytest.mark.parametrize("variant", ["full", "subtree-only"])
@@ -575,7 +623,8 @@ class TestThresholdMonotonicity:
         from topicmine.ordering import build_total_order
 
         order = build_total_order(compute_item_summaries(example_db))
+        rank = rank_map(order)
         for itemset, _ in result.top_k:
-            ranks = sorted(order.rank[i] for i in itemset)
+            ranks = sorted(rank[i] for i in itemset)
             positives = [r for r in ranks if r < order.positive_cutoff]
             assert positives == ranks[: len(positives)]

@@ -9,6 +9,7 @@ from helpers import (
     campaign_nodes,
     example_database,
     project_on,
+    rank_map,
     view_fields,
 )
 
@@ -33,15 +34,15 @@ def canonical(example_db):
 
 def remapped_example(example_db):
     order = canonical(example_db)
-    everything = example_db.positive_items | example_db.negative_items
-    return remap_database(example_db, order, everything), order
+    return remap_database(example_db, order), order
 
 
 def example_root(example_db, ids):
     """The worked example's root projection, and the fixture's dense ids
     mapped to the ranks the projection holds."""
     rdb, order = remapped_example(example_db)
-    return build_root(rdb), {name: order.rank[i] for name, i in ids.items()}
+    rank = rank_map(order)
+    return build_root(rdb), {name: rank[i] for name, i in ids.items()}
 
 
 class TestTotalOrder:
@@ -69,11 +70,19 @@ def as_id_pairs(rows, order):
                   for items, utilities in zip(*rows))
 
 
-def reference_rows(db, order, keep):
-    """The root's rows by a plain stable sort on the reversed items."""
+def kept_order(db, keep):
+    """The order of the summaries of the items in ``keep`` alone, as the
+    miner orders the items its root keeps."""
+    return build_total_order([s for s in compute_item_summaries(db) if s.item in keep])
+
+
+def reference_rows(db, order):
+    """The root's rows by a plain stable sort on the reversed items, with
+    the items ``order`` does not rank dropped."""
+    rank = rank_map(order)
     rows = []
     for t in db.transactions:
-        pairs = sorted((order.rank[i], u) for i, u in zip(t.items, t.utilities) if i in keep)
+        pairs = sorted((rank[i], u) for i, u in zip(t.items, t.utilities) if i in rank)
         if pairs:
             rows.append(tuple(zip(*pairs)))
     rows.sort(key=lambda row: row[0][::-1])
@@ -90,23 +99,25 @@ class TestRemap:
         assert as_id_pairs(rdb, order) == want
 
     def test_empty_keep_sets(self, example_db):
-        order = canonical(example_db)
-        rdb = remap_database(example_db, order, set())
+        order = kept_order(example_db, set())
+        assert order.items == []
+        rdb = remap_database(example_db, order)
         assert rdb == ([], [])
 
     def test_back_to_front_transaction_order(self):
         # {a,b} sorts below {a,b,c} which sorts below {a,b,e}
         db = parse_spmf("1 2 3:3:1 1 1\n1 2 5:4:1 1 2\n1 2:2:1 1")
-        order = build_total_order(compute_item_summaries(db))
-        rdb = remap_database(db, order, set(db.positive_items))
+        order = kept_order(db, db.positive_items)
+        rdb = remap_database(db, order)
         lengths_and_labels = [sorted(db.labels[order.items[r]] for r in items)
                               for items in rdb[0]]
         assert lengths_and_labels == [[1, 2], [1, 2, 3], [1, 2, 5]]
 
     def test_dropped_items_recompute_tu(self, example_db, ids):
-        order = canonical(example_db)
-        items, utilities = remap_database(example_db, order, {ids["D"]})
-        assert all(row == (order.rank[ids["D"]],) for row in items)
+        order = kept_order(example_db, {ids["D"]})
+        assert order.items == [ids["D"]]
+        items, utilities = remap_database(example_db, order)
+        assert all(row == (0,) for row in items)
         assert sorted(utilities) == [(12,), (30,), (36,), (36,)]
 
     @pytest.mark.parametrize("dropping", [False, True], ids=["keep-all", "keep-some"])
@@ -117,9 +128,9 @@ class TestRemap:
         for seed in range(12):
             for nf in (0.0, 0.3, 0.6):
                 db = campaign_db(seed, nf)
-                order = build_total_order(compute_item_summaries(db))
                 keep = {i for i in range(db.item_count) if not (dropping and i % 3 == 1)}
-                rdb = remap_database(db, order, keep)
+                order = kept_order(db, keep)
+                rdb = remap_database(db, order)
                 assert len(rdb[0]) == len(rdb[1])
                 for items, utilities in zip(*rdb):
                     assert all(a < b for a, b in zip(items, items[1:]))
@@ -130,7 +141,7 @@ class TestRemap:
                 restricted = ([(i, u) for i, u in zip(t.items, t.utilities) if i in keep]
                               for t in db.transactions)
                 assert as_id_pairs(rdb, order) == sorted(pairs for pairs in restricted if pairs)
-                assert rdb == reference_rows(db, order, keep)
+                assert rdb == reference_rows(db, order)
 
     def test_ties_keep_transaction_order(self):
         # rows with equal items tie on the sort key; they keep the order of
@@ -138,18 +149,19 @@ class TestRemap:
         # identical transactions stay side by side
         db = parse_spmf("1 2:3:1 2\n1 2 3:6:1 2 3\n1 2:5:4 1\n2 3:5:2 3\n1 2:4:2 2\n"
                         "1 2 3:6:1 2 3\n1 2 3:9:3 3 3\n2 3:5:2 3\n1 2:3:1 2")
-        order = build_total_order(compute_item_summaries(db))
         utilities = {
             # labels 3, 1 and 2 take ranks 0, 1 and 2
             frozenset(db.positive_items): [(3, 2), (3, 2), (1, 2), (4, 1), (2, 2), (1, 2),
                                            (3, 1, 2), (3, 1, 2), (3, 3, 3)],
-            # without label 3, every row but two ties on ranks (1, 2)
+            # without label 3, labels 1 and 2 take ranks 0 and 1, and every
+            # row but two ties on ranks (0, 1)
             frozenset({0, 1}): [(2,), (2,), (1, 2), (1, 2), (4, 1), (2, 2), (1, 2), (3, 3),
                                 (1, 2)],
         }
         for keep, want in utilities.items():
-            rows = remap_database(db, order, set(keep))
-            assert rows == reference_rows(db, order, keep)
+            order = kept_order(db, keep)
+            rows = remap_database(db, order)
+            assert rows == reference_rows(db, order)
             assert rows[1] == want
 
     @pytest.mark.parametrize("shape", [(300, 6, (1, 9), 0.6), (40, 10, (1, 99), 0.0)],
@@ -162,7 +174,6 @@ class TestRemap:
         n_items, avg_len, utility_range, negative_fraction = shape
         db = generate_synthetic(2000, n_items, avg_len, utility_range, negative_fraction, 3)
         order = build_total_order(compute_item_summaries(db))
-        keep = db.positive_items | db.negative_items
         started = not tracemalloc.is_tracing()
         gc.collect()
         if started:
@@ -170,7 +181,7 @@ class TestRemap:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         try:
-            rows = remap_database(db, order, keep)
+            rows = remap_database(db, order)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             if started:
@@ -187,10 +198,10 @@ class TestRemap:
         for seed in range(12):
             for nf in (0.0, 0.3, 0.6):
                 db = campaign_db(seed, nf)
-                order = build_total_order(compute_item_summaries(db))
-                cutoff = order.positive_cutoff
                 keep = {i for i in range(db.item_count) if not (dropping and i % 3 == 1)}
-                root = build_root(remap_database(db, order, keep))
+                order = kept_order(db, keep)
+                cutoff = order.positive_cutoff
+                root = build_root(remap_database(db, order))
                 if merged:
                     root = merge_identical(root)
                 expected = [0] * cutoff
@@ -281,8 +292,7 @@ class TestDeliver:
     def test_children_equal_project(self, make_db, merging):
         db = make_db()
         order = build_total_order(compute_item_summaries(db))
-        plain = root = build_root(
-            remap_database(db, order, db.positive_items | db.negative_items))
+        plain = root = build_root(remap_database(db, order))
         if merging:
             root = merge_identical(root)
         ranks = range(len(order.items))
@@ -349,7 +359,7 @@ class TestMerge:
         # so merging hands back the projection itself
         db = parse_spmf("1 2:3:1 2\n1 3:4:1 3\n2 3:5:2 3\n1 2 3:6:1 2 3\n4:4:4")
         order = build_total_order(compute_item_summaries(db))
-        root = build_root(remap_database(db, order, db.positive_items | db.negative_items))
+        root = build_root(remap_database(db, order))
         assert merge_identical(root) is root
         assert len(root.items) == len(db.transactions)
 
@@ -390,7 +400,7 @@ class TestMerge:
                         "1 2 3:6:1 2 3\n1 2 3:6:1 2 3\n2 4:6:2 4\n1 4:5:1 4\n1 4:5:1 4\n"
                         "3 4:7:3 4\n1 2 3 4:10:1 2 3 4\n1 2 3 4:10:1 2 3 4")
         order = build_total_order(compute_item_summaries(db))
-        root = build_root(remap_database(db, order, db.positive_items))
+        root = build_root(remap_database(db, order))
         suffixes = root.items
         folds = [i for i in range(1, len(suffixes)) if suffixes[i] == suffixes[i - 1]]
         assert folds == [4, 8, 9, 11]
