@@ -8,8 +8,8 @@ occurrence ``(view index, position)`` indexes the parent's ``items`` and
 position with the parent's prefix utility plus the item's. All
 three quantities are sums of per-view terms, and merging only adds views'
 terms together, so they equal the scans of the built child, merged or not,
-and a child that will not be searched is never built. Bound maps are plain
-lists indexed by rank (EFIM's utility-bin arrays). A positive child's scan
+and a child that will not be searched is never built. Bound maps and pair
+rows are plain lists indexed by rank (EFIM's utility-bin arrays). A positive child's scan
 fills only the bound its search prunes by: RSU with subtree pruning on, RLU
 without it. Ranks put every positive item before every negative one, so
 each view's suffix splits at the first rank of a negative item: the RLU/RSU
@@ -166,24 +166,23 @@ def compute_riu(summaries: list[ItemSummary]) -> list[int]:
 
 
 def compute_pair_rows(
-    root: ProjectedDatabase, buckets: dict[int, list], firsts: Iterable[int]
-) -> Iterator[tuple[int, dict[int, int]]]:
+    root: ProjectedDatabase, buckets: dict[int, list], firsts: Iterable[int], n: int
+) -> Iterator[tuple[int, list[int]]]:
     """Exact pair utilities of the (merged or unmerged) root, one row at a
     time: for each item ``a`` of ``firsts``, which must have a bucket in
     ``buckets`` (the root's delivery; every ranked item occurs in the root),
-    yield ``(a, row)`` where ``row[b]`` is U({a, b}) for every item b ranked
-    after a in a view holding a. The buckets are read, not consumed, and
-    only one row is alive at a time."""
+    yield ``(a, row)``: ``row`` has one slot per rank of the ``n``, U({a, b})
+    for every item b ranked after a in a view holding a and 0 for every other
+    b. The buckets are read, not consumed, and one row is alive at a time."""
     item_rows = root.items
     utility_rows = root.utilities
     for a in firsts:
-        row: dict[int, int] = {}
+        row = [0] * n
         pairs = iter(buckets[a])
         for i, p in zip(pairs, pairs):
             items = item_rows[i]
             utils = utility_rows[i]
             ua = utils[p]
             for q in range(p + 1, len(items)):
-                b = items[q]
-                row[b] = row.get(b, 0) + ua + utils[q]
+                row[items[q]] += ua + utils[q]
         yield a, row

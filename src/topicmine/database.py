@@ -191,8 +191,9 @@ def compute_item_summaries(db: UtilityDatabase) -> list[ItemSummary]:
     utility = [0] * n
     twu = [0] * n
     rtwu = [0] * n
+    positive = (0).__lt__
     for t in db.transactions:
-        rtu = sum(u for u in t.utilities if u > 0)
+        rtu = sum(filter(positive, t.utilities))
         for i, u in zip(t.items, t.utilities):
             utility[i] += u
             twu[i] += t.tu

@@ -39,10 +39,9 @@ from .bounds import (
     compute_riu,
     compute_rsu,
 )
-from .database import ItemSummary, UtilityDatabase, compute_item_summaries
+from .database import UtilityDatabase, compute_item_summaries
 from .ordering import (
     ProjectedDatabase,
-    TotalOrder,
     build_root,
     build_total_order,
     deliver,
@@ -151,7 +150,7 @@ class _Search:
         self.live_views += len(pdb.items)
         if self.live_views > self.stats.peak_entries:
             self.stats.peak_entries = self.live_views
-        return pdb, deliver(pdb, set(wanted))
+        return pdb, deliver(pdb, wanted, self.n)
 
     def _survivors(self, alpha: tuple[int, ...], candidates: Iterable[int], bound: list[int],
                    floor: int = 1) -> list[int]:
@@ -235,18 +234,18 @@ class _Search:
                 self.live_views -= len(child.items)
 
 
-def _item_and_pair_utilities(summaries: list[ItemSummary], order: TotalOrder,
+def _item_and_pair_utilities(riu: list[int], rank_utility: list[int],
                              root: ProjectedDatabase, buckets: dict[int, list],
                              candidates: Iterable[int], k: int) -> Iterator[int]:
-    """Yield the exact utility of every item, then of every pair in the root
-    led by one of the k root ``candidates`` with the highest utility (ties
-    in their ascending rank order), read from the root's ``buckets``. Each
-    value belongs to a distinct itemset, as the pair raise needs."""
-    for s in summaries:
-        yield s.utility
-    firsts = sorted(candidates, key=lambda r: summaries[order.items[r]].utility, reverse=True)[:k]
-    for _, row in compute_pair_rows(root, buckets, firsts):
-        yield from row.values()
+    """Yield every item's exact utility (``riu``), then every non-zero pair
+    utility in the root's ``buckets`` led by one of the k ``candidates`` of
+    highest ``rank_utility`` (ties by ascending rank): distinct itemsets, as
+    the pair raise needs. Dropping zeros (absent pairs read 0) keeps a positive
+    k-th largest value, and one at most 0 raises nothing."""
+    yield from riu
+    firsts = sorted(candidates, key=rank_utility.__getitem__, reverse=True)[:k]
+    for _, row in compute_pair_rows(root, buckets, firsts, len(rank_utility)):
+        yield from filter(None, row)
 
 
 def mine(db: UtilityDatabase, config: MinerConfig) -> MineResult:
@@ -257,19 +256,22 @@ def mine(db: UtilityDatabase, config: MinerConfig) -> MineResult:
     stats = MineStats()
     summaries = compute_item_summaries(db)
     store = TopKStore(config.k)
-    store.raise_to_kth(compute_riu(summaries))
+    riu = compute_riu(summaries)
+    store.raise_to_kth(riu)
 
     # An itemset holding an item whose RTWU (at the root, a positive item's
     # RLU) is below the threshold is worth less, so only the other items are
     # ranked. From here on items are ranks; results are translated back
-    # through ``order.items``.
+    # through ``order.items``. The pair raise needs only item utilities.
     order = build_total_order([s for s in summaries if s.rtwu >= store.min_util])
+    rank_utility = [summaries[i].utility for i in order.items]
+    del summaries
     cutoff = order.positive_cutoff
     search = _Search(store, config, stats, cutoff, len(order.items))
     root, buckets = search._enter(build_root(remap_database(db, order)), range(cutoff))
     candidates = range(cutoff)
     store.raise_to_kth(
-        _item_and_pair_utilities(summaries, order, root, buckets, candidates, config.k))
+        _item_and_pair_utilities(riu, rank_utility, root, buckets, candidates, config.k))
     search.run(root, buckets, candidates, compute_rsu(root, buckets, cutoff))
 
     top_k = [(tuple(sorted(order.items[r] for r in itemset)), utility)

@@ -13,14 +13,14 @@ adjacent, and they stay so under projection, which lets merging fold each
 view into the previous one in one pass over the views.
 
 Children of a search node come from one pass over its views' suffixes
-(occurrence delivery, as in LCM ver. 2): :func:`deliver` buckets every
-view and position holding one of the wanted items. A child's utility and
-bounds are read from its bucket (:mod:`topicmine.bounds`), and only a child
-that the search enters is built: :func:`project` turns its bucket into the
-child projection. Items that occur in no view get no bucket, so they are
-never candidates. :func:`merge_identical` then merges the identical views
-of the root and of every built child (EFIM's transaction merging after its
-database projection).
+(occurrence delivery, as in LCM ver. 2): :func:`deliver` buckets every view
+and position holding a wanted item, in slots indexed by rank (EFIM's utility
+bins). A child's utility and bounds are read from its bucket
+(:mod:`topicmine.bounds`), and only a child that the search enters is built:
+:func:`project` turns its bucket into the child projection. Items that occur
+in no view get no bucket, so they are never candidates.
+:func:`merge_identical` then merges the identical views of the root and of
+every built child (EFIM's transaction merging after its projection).
 
 A projected database keeps its views as five parallel lists (items,
 utilities, offset, prefix utility, positive prefix); a bucket names a view
@@ -127,23 +127,21 @@ def build_root(rows: tuple[list[tuple], list[tuple]]) -> ProjectedDatabase:
     return ProjectedDatabase(items, utilities, [0] * n, [0] * n, [0] * n)
 
 
-def deliver(pdb: ProjectedDatabase, wanted) -> dict[int, list]:
-    """One pass over every view's suffix: map each item of ``wanted`` that
-    occurs there to its occurrences in view order, as a flat list
-    ``[view index, position, view index, position, ...]`` (a pair costs two
-    list slots and no tuple). Items that occur nowhere get no entry."""
-    buckets: dict[int, list] = {}
+def deliver(pdb: ProjectedDatabase, wanted, n: int) -> dict[int, list]:
+    """One pass over every view's suffix: map each item of ``wanted`` (read
+    twice) that occurs there to its occurrences in view order, as a flat
+    list ``[view index, position, view index, position, ...]`` found in one
+    of ``n`` slots, one per rank, with no hashing. Absent items get no entry."""
+    slots = [None] * n
+    for w in wanted:
+        slots[w] = []
     offsets = pdb.offsets
     for i, items in enumerate(pdb.items):
         for p in range(offsets[i], len(items)):
-            item = items[p]
-            if item in wanted:
-                bucket = buckets.get(item)
-                if bucket is None:
-                    buckets[item] = [i, p]
-                else:
-                    bucket += (i, p)
-    return buckets
+            bucket = slots[items[p]]
+            if bucket is not None:
+                bucket += (i, p)
+    return {w: slots[w] for w in wanted if slots[w]}
 
 
 def project(pdb: ProjectedDatabase, occurrences) -> ProjectedDatabase:

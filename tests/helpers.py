@@ -57,8 +57,9 @@ class CheckingTopKStore(TopKStore):
 
 def bucket(pdb, z):
     """The occurrences of z that ``deliver`` finds in ``pdb`` (empty when z
-    does not occur)."""
-    return deliver(pdb, {z}).get(z, ())
+    does not occur), over a rank space that holds z and every row's ranks."""
+    n = max([z, *(items[-1] for items in pdb.items)]) + 1
+    return deliver(pdb, (z,), n).get(z, ())
 
 
 def project_on(pdb, z):
@@ -135,8 +136,9 @@ def campaign_buckets(merged):
     after ``prefix`` that occurs in a node of :func:`campaign_nodes`, with
     z's bucket in that node."""
     for db, cutoff, prefix, pdb in campaign_nodes(merged):
+        n = db.item_count
         last = prefix[-1] if prefix else -1
-        for z, occurrences in sorted(deliver(pdb, set(range(last + 1, db.item_count))).items()):
+        for z, occurrences in sorted(deliver(pdb, range(last + 1, n), n).items()):
             yield db, cutoff, prefix, pdb, z, occurrences
 
 
@@ -248,7 +250,7 @@ def check_bound_soundness(db: UtilityDatabase) -> int:
     # by, its RSU is read from its own delivery of its positive items, as
     # the miner reads it, and its caps are 0 (empty prefix)
     root_rlu = [summaries[by_rank[r]].rtwu for r in range(cutoff)]
-    root_rsu = compute_rsu(root, deliver(root, set(range(cutoff))), cutoff)
+    root_rsu = compute_rsu(root, deliver(root, range(cutoff), m), cutoff)
     dfs((), root, root_rlu, root_rsu, [0] * m)
     return violations
 

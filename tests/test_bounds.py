@@ -113,7 +113,7 @@ class TestArrays:
             if not prefix:
                 shrunk += len(pdb.items) < len(db.transactions)
                 _, ref_rsu = reference_bounds(pdb)
-                buckets = deliver(pdb, set(range(cutoff)))
+                buckets = deliver(pdb, range(cutoff), db.item_count)
                 assert compute_rsu(pdb, buckets, cutoff) == [
                     ref_rsu.get(z, 0) for z in range(cutoff)]
                 roots += 1
@@ -247,7 +247,7 @@ class TestEarlyStop:
         db = parse_spmf("1 2 3:6:1 2 3\n" * 10)
         root, r, cutoff = rooted(db, {label: i for i, label in enumerate(db.labels)})
         occurrences = bucket(root, r[1])
-        rsu = compute_rsu(root, deliver(root, set(range(cutoff))), cutoff)[r[1]]
+        rsu = compute_rsu(root, deliver(root, range(cutoff), db.item_count), cutoff)[r[1]]
         assert (len(occurrences) // 2, cutoff, rsu) == (10, 3, 60)
         full = [0] * cutoff
         full[r[2]], full[r[3]] = 60, 40
@@ -277,40 +277,43 @@ class TestPairRows:
     @pytest.mark.parametrize("make_db", [example_database, lambda: campaign_db(5, 0.3)],
                              ids=["example", "campaign-5"])
     def test_rows_hold_exact_pair_utilities(self, make_db, merged):
-        # one value per pair {a, b} that shares a transaction, with a the
-        # positive item ranked first, equal to the oracle's U({a, b})
+        # one slot per rank: the oracle's U({a, b}) for every b ranked after
+        # the positive item a that shares a transaction with it, 0 for every
+        # other b
         db = make_db()
         order = build_total_order(compute_item_summaries(db))
+        n = len(order.items)
         root, _, _ = rooted(db)
         if merged:
             merged_root = merge_identical(root)
             assert len(merged_root.items) < len(root.items)
             root = merged_root
-        got = {}
         positives = range(order.positive_cutoff)
-        for a, row in compute_pair_rows(root, deliver(root, set(positives)), positives):
-            for b, utility in row.items():
-                got[a, b] = utility
-        expected = {}
+        got = dict(compute_pair_rows(root, deliver(root, positives, n), positives, n))
+        expected = {a: [0] * n for a in positives}
         rank = rank_map(order)
         for t in db.transactions:
             ranks = sorted(rank[i] for i in t.items)
             for x, a in enumerate(ranks):
                 if a < order.positive_cutoff:
                     for b in ranks[x + 1:]:
-                        expected[a, b] = utility_of(db, (order.items[a], order.items[b]))
-        assert any(b >= order.positive_cutoff for _, b in expected)
+                        expected[a][b] = utility_of(db, (order.items[a], order.items[b]))
+        assert any(any(row[order.positive_cutoff:]) for row in expected.values())
+        assert all(len(row) == n for row in got.values())
         assert got == expected
 
     def test_rows_only_for_firsts(self, example_db, ids):
         root, r, _ = rooted(example_db, ids)
         # rows only for the given items, each holding the items ranked after
-        # it: E precedes A, so A's row lacks it, and C is last, so its row is
-        # empty; the buckets hold every item, as the root's delivery holds
-        # items that are not firsts
+        # it: E precedes A, so A's row reads 0 there, and C is last, so its
+        # row is all zeros; the buckets hold every item, as the root's
+        # delivery holds items that are not firsts
         assert [r[n] for n in "EADBC"] == [0, 1, 2, 3, 4]
-        rows = dict(compute_pair_rows(root, deliver(root, set(range(5))), [r["A"], r["C"]]))
-        assert rows == {r["A"]: {r["D"]: 62}, r["C"]: {}}
+        buckets = deliver(root, range(5), 5)
+        rows = dict(compute_pair_rows(root, buckets, [r["A"], r["C"]], 5))
+        a_row = [0] * 5
+        a_row[r["D"]] = 62
+        assert rows == {r["A"]: a_row, r["C"]: [0] * 5}
 
 
 class TestSoundness:

@@ -609,6 +609,48 @@ def test_pair_raise_reaches_kth_item_or_pair_utility():
     assert checked >= 100
 
 
+def dict_row_pair_utilities(riu, rank_utility, root, buckets, candidates, k):
+    """The pair raise's values with every co-occurring pair read into a dict
+    row, zero pairs included: the reference for the miner's rank-indexed
+    rows, which skip zeros."""
+    yield from riu
+    for a in sorted(candidates, key=rank_utility.__getitem__, reverse=True)[:k]:
+        row = {}
+        pairs = iter(buckets[a])
+        for i, p in zip(pairs, pairs):
+            items, utilities = root.items[i], root.utilities[i]
+            for q in range(p + 1, len(items)):
+                row[items[q]] = row.get(items[q], 0) + utilities[p] + utilities[q]
+        yield from row.values()
+
+
+def test_zero_pair_leaves_the_raise_unchanged(monkeypatch):
+    # the pair {1, 2} is worth exactly 0, and from k = 3 on the root keeps
+    # item 2. At k = 7 that zero is the k-th largest of the reference's
+    # values, and at k = 9 the reference holds k values only with it;
+    # dropping it raises nothing above the floor either way, so every
+    # history and top-k equals the reference's
+    db = parse_spmf("1 2:0:4 -4\n1 3:7:4 3\n1 3 4:9:4 3 2\n3 4:3:1 2\n2 4:-1:-3 2\n")
+    kth = {}
+
+    def reference(*args):
+        values = sorted(dict_row_pair_utilities(*args), reverse=True)
+        k = args[-1]
+        kth[k] = values[k - 1] if k <= len(values) else None
+        return iter(values)
+
+    for k in range(1, 11):
+        for name in VARIANT_NAMES:
+            config = MinerConfig.variant(k, name)
+            got = mine(db, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(topicmine.miner, "_item_and_pair_utilities", reference)
+                want = mine(db, config)
+            assert got.min_util_history == want.min_util_history, (k, name)
+            assert got.top_k == want.top_k == enumerate_topk(db, k).top_k, (k, name)
+    assert kth[7] == 0 and kth[9] == -7 and kth[10] is None
+
+
 class TestThresholdMonotonicity:
     def test_history_never_decreases(self):
         for seed in range(10):

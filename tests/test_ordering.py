@@ -209,7 +209,7 @@ class TestRemap:
                     for p, z in enumerate(items):
                         if z < cutoff:
                             expected[z] += sum(u for u in utilities[p:] if u > 0)
-                buckets = deliver(root, set(range(cutoff)))
+                buckets = deliver(root, range(cutoff), len(order.items))
                 assert compute_rsu(root, buckets, cutoff) == expected
 
 
@@ -261,12 +261,12 @@ def scan_project(pdb, z):
     return utility, holding, views
 
 
-def delivered_children(pdb, wanted, merging, cutoff):
+def delivered_children(pdb, wanted, n, merging, cutoff):
     """Build every child of ``pdb`` over ``wanted`` from one delivery, check
     each against ``project_on(pdb, z)`` and the scan reference (its utility
     against the bucket scan), and return the non-empty children by item
-    (merged when ``merging``)."""
-    buckets = deliver(pdb, set(wanted))
+    (merged when ``merging``); ``n`` is the number of ranks."""
+    buckets = deliver(pdb, wanted, n)
     children = {}
     for z in wanted:
         expected = list(view_fields(project_on(pdb, z)))
@@ -281,6 +281,18 @@ def delivered_children(pdb, wanted, merging, cutoff):
         assert list(view_fields(child)) == expected
         children[z] = merge_identical(child) if merging else child
     return children
+
+
+def reference_deliver(pdb, wanted):
+    """Occurrence delivery by a set test and a dict lookup per position:
+    the reference for :func:`topicmine.ordering.deliver`."""
+    wanted = set(wanted)
+    buckets = {}
+    for i, (items, offset) in enumerate(zip(pdb.items, pdb.offsets)):
+        for p in range(offset, len(items)):
+            if items[p] in wanted:
+                buckets.setdefault(items[p], []).extend((i, p))
+    return buckets
 
 
 class TestDeliver:
@@ -298,8 +310,9 @@ class TestDeliver:
         ranks = range(len(order.items))
         depth2 = []
         cutoff = order.positive_cutoff
-        for z, child in delivered_children(root, ranks, merging, cutoff).items():
-            depth2 += delivered_children(child, ranks[z + 1:], merging, cutoff).values()
+        n = len(ranks)
+        for z, child in delivered_children(root, ranks, n, merging, cutoff).items():
+            depth2 += delivered_children(child, ranks[z + 1:], n, merging, cutoff).values()
         assert depth2
         if merging:
             # some view at depth 2 reads tuples that a fold made
@@ -308,8 +321,32 @@ class TestDeliver:
     def test_unwanted_and_absent_items_get_no_bucket(self, example_db, ids):
         root, r = example_root(example_db, ids)
         child = project_on(root, r["A"])  # suffixes hold only D
-        assert set(deliver(child, {r["B"], r["D"]})) == {r["D"]}
-        assert deliver(child, {r["B"]}) == {}
+        n = example_db.item_count
+        assert set(deliver(child, (r["B"], r["D"]), n)) == {r["D"]}
+        assert deliver(child, (r["B"],), n) == {}
+
+    @pytest.mark.parametrize("merged", [False, True], ids=["unmerged", "merged"])
+    def test_negative_first_wanted_equals_set_reference(self, merged):
+        # wanted in search order, as a positive child's list gives it:
+        # negative ranks first, then positive ones, every third rank left
+        # out. Every bucket, its occurrence order included, equals the
+        # reference's, and only wanted ranks that occur get one
+        absent = unwanted = mixed = 0
+        for db, cutoff, prefix, pdb in campaign_nodes(merged):
+            n = db.item_count
+            after = range(prefix[-1] + 1 if prefix else 0, n)
+            wanted = ([w for w in after if w >= cutoff and w % 3 != 1]
+                      + [w for w in after if w < cutoff and w % 3 != 1])
+            buckets = deliver(pdb, wanted, n)
+            assert buckets == reference_deliver(pdb, wanted)
+            occurring = {items[p] for items, offset in zip(pdb.items, pdb.offsets)
+                         for p in range(offset, len(items))}
+            assert set(buckets) == occurring & set(wanted)
+            absent += len(set(wanted) - occurring)
+            unwanted += len(occurring - set(wanted))
+            if wanted and wanted[0] >= cutoff > wanted[-1]:
+                mixed += 1
+        assert absent and unwanted and mixed
 
 
 def reference_merge(pdb):
@@ -376,8 +413,9 @@ class TestMerge:
         # folds
         folded = unchanged = 0
         for db, _, prefix, pdb in campaign_nodes(merged):
+            n = db.item_count
             last = prefix[-1] if prefix else -1
-            for z, occurrences in deliver(pdb, set(range(last + 1, db.item_count))).items():
+            for z, occurrences in deliver(pdb, range(last + 1, n), n).items():
                 plain = project(pdb, occurrences)
                 pairs = iter(occurrences)
                 kept = [i for i, p in zip(pairs, pairs) if p + 1 < len(pdb.items[i])]
@@ -420,8 +458,9 @@ class TestMerge:
             if len(prefix) > 1:
                 continue
             snapshot = list(view_fields(pdb))
+            n = db.item_count
             last = prefix[-1] if prefix else -1
-            for z, occurrences in deliver(pdb, set(range(last + 1, db.item_count))).items():
+            for z, occurrences in deliver(pdb, range(last + 1, n), n).items():
                 child = project(pdb, occurrences)
                 assert merged_views(merge_identical(child)) == reference_merge(child)
             assert list(view_fields(pdb)) == snapshot
