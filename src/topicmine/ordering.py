@@ -110,12 +110,12 @@ class ProjectedDatabase:
 
     @property
     def views(self) -> list[tuple]:
-        """One entry per view (its items); only ``bench/tracing.py`` reads it."""
+        """Each view's items; read only by ``bench/tracing.py`` and ``tests/test_ordering.py``."""
         return self.items
 
     @property
     def support(self) -> int:
-        """The number of views; only ``bench/tracing.py`` reads it."""
+        """The view count; read only by ``bench/tracing.py`` and ``tests/test_ordering.py``."""
         return len(self.items)
 
 

@@ -155,6 +155,67 @@ class TestBench:
         lines = capsys.readouterr().out.strip().splitlines()
         assert all(line.split(",")[2] == "0" for line in lines[1:])  # candidates column
 
+    def test_invariant_violation_exits_3(self, example_file, capsys, monkeypatch):
+        # harness self-test: the oracle smoke shapes rely on bench failing
+        # when the full variant counts other candidates than subtree-only
+        import topicmine.cli as cli
+
+        real_mine = cli.mine
+
+        def inflated(db, config):
+            result = real_mine(db, config)
+            if config.enable_merging and config.enable_subtree_pruning:
+                result.stats.candidates += 1
+            return result
+
+        monkeypatch.setattr(cli, "mine", inflated)
+        assert main(["bench", "--input", example_file, "--k", "3,5"]) == EXIT_VERIFY_FAILED
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "candidate-count invariant violated" in err
+
+
+# Generator shapes run end to end: `verify` checks each k's top-k list
+# against the oracle, and `bench` exits 3 when merging changes the candidate
+# set or subtree pruning enlarges it. A new shape is one more row:
+# (id, `gen` arguments, k list).
+ORACLE_SMOKE_SHAPES = [
+    # small utilities and a short item list make many projected suffixes
+    # identical, so built children merge many views
+    ("merge", "--transactions 400 --items 10 --avg-len 6 --max-utility 3 "
+              "--negative-fraction 0.3 --seed 5", "1,5,20"),
+    # no negative items and wide utilities: most children are leaves read
+    # from their parent's bucket and never built
+    ("dense", "--transactions 300 --items 14 --avg-len 8 --max-utility 99 "
+              "--negative-fraction 0 --seed 3", "1,10,50"),
+    # most items negative and utilities small: many merged views sum
+    # negative utilities
+    ("neg", "--transactions 300 --items 14 --avg-len 9 --max-utility 5 "
+            "--negative-fraction 0.6 --seed 2", "1,5,40"),
+    # long transactions of small utilities: many positive children's
+    # sub-tree bound scans stop early, some on children that go on to
+    # negative extensions
+    ("stop", "--transactions 300 --items 14 --avg-len 9 --max-utility 5 "
+             "--negative-fraction 0.3 --seed 1", "1,10,50"),
+    # at k = 1 and 3 the single-item threshold raise drops 3 of the 5
+    # negative items before the root is built; at k = 5 it drops none
+    ("drop", "--transactions 20 --items 8 --avg-len 4 "
+             "--negative-fraction 0.6 --seed 2", "1,3,5"),
+    # short transactions over a wide item list: at k = 100 some deliveries
+    # want negative ranks before positive ones, and most ranks are absent
+    ("wide", "--transactions 300 --items 24 --avg-len 3 "
+             "--negative-fraction 0.3 --seed 4", "1,10,100"),
+]
+
+
+@pytest.mark.parametrize("shape, gen_args, k", ORACLE_SMOKE_SHAPES,
+                         ids=[row[0] for row in ORACLE_SMOKE_SHAPES])
+def test_oracle_smoke_shape(tmp_path, shape, gen_args, k):
+    path = str(tmp_path / f"{shape}.spmf")
+    assert main(["gen", *gen_args.split(), "--output", path]) == EXIT_OK
+    assert main(["verify", "--input", path, "--k", k]) == EXIT_OK
+    assert main(["bench", "--input", path, "--k", k]) == EXIT_OK
+
 
 class TestGen:
     def test_round_trip(self, tmp_path, capsys):
