@@ -10,7 +10,8 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
+from operator import gt, lt
 
 log = logging.getLogger(__name__)
 
@@ -84,39 +85,49 @@ class ItemSummary:
     positive: bool
 
 
-def _build_database(rows: list[tuple[int, list[int], list[int], int]]) -> UtilityDatabase:
-    """Assemble a database from ``(line, raw labels, utilities, TU)`` rows.
+def _build_database(
+    rows: list[tuple[int, int, int]], labels: list[int], utils: list[int]
+) -> UtilityDatabase:
+    """Assemble a database from a label column, a utility column and rows.
 
-    A row's labels are distinct and its TU is the sum of its utilities.
-    Checks that every utility is non-zero and every label keeps one sign,
-    naming the first offending row's ``line``. Dense ids follow ascending
-    label order. Tids are assigned in row order starting at 1.
+    ``labels`` and ``utils`` list every occurrence's raw label and utility,
+    row after row: row ``(line, end, TU)`` owns the entries from the previous
+    row's ``end`` (0 at first) up to its own. A row's labels are distinct and
+    its TU is the sum of its utilities.
+
+    Each column is read once for the sign sets, the zero test and the dense
+    ids, which follow ascending label order. Only when a utility is zero or
+    a label has both signs does a walk over the rows run, naming the first
+    offending row's ``line``. Each transaction takes its slice of both
+    columns, re-sorted only when its labels are out of order. Tids are
+    assigned in row order starting at 1.
     """
-    positive: set[int] = set()
-    negative: set[int] = set()
-    clean = True
-    for _, labels, utils, _ in rows:
-        positive.update(compress(labels, map((0).__lt__, utils)))
-        negative.update(compress(labels, map((0).__gt__, utils)))
-        clean = clean and 0 not in utils
-    if not clean or not positive.isdisjoint(negative):
+    positive = set(compress(labels, map(gt, utils, repeat(0))))
+    negative = set(compress(labels, map(lt, utils, repeat(0))))
+    if 0 in utils or not positive.isdisjoint(negative):
         sign: dict[int, bool] = {}
-        for line, labels, utils, _ in rows:
-            for lab, u in zip(labels, utils):
+        start = 0
+        for line, end, _ in rows:
+            for lab, u in zip(labels[start:end], utils[start:end]):
                 if u == 0:
                     raise ZeroUtilityError(f"line {line}: item {lab} has utility 0")
                 if sign.setdefault(lab, u > 0) is not (u > 0):
                     raise MixedSignItemError(f"line {line}: item {lab} occurs with both signs")
+            start = end
 
     label_list = sorted(positive | negative)
     dense = dict(zip(label_list, range(len(label_list))))
+    ids = list(map(dense.__getitem__, labels))
 
     transactions = []
-    for tid, (_, labels, utils, tu) in enumerate(rows, start=1):
-        items = list(map(dense.__getitem__, labels))
+    start = 0
+    for tid, (_, end, tu) in enumerate(rows, start=1):
+        items = ids[start:end]
+        row_utils = utils[start:end]
         if items != sorted(items):
-            items, utils = map(list, zip(*sorted(zip(items, utils))))
-        transactions.append(Transaction(tid, items, utils, tu))
+            items, row_utils = map(list, zip(*sorted(zip(items, row_utils))))
+        transactions.append(Transaction(tid, items, row_utils, tu))
+        start = end
 
     positive_ids = frozenset(map(dense.__getitem__, positive))
     negative_ids = frozenset(map(dense.__getitem__, negative))
@@ -131,10 +142,13 @@ def parse_spmf(text: str, strict: bool = True) -> UtilityDatabase:
     a line. A declared TU that differs from the sum of the utilities is an
     error in strict mode and is otherwise recomputed with a warning. Only a
     newline ends a line (a carriage return before it is stripped), and errors
-    name that physical line; sign and zero errors are raised only once every
-    line has parsed.
+    name that physical line. Each data line extends one label column and
+    one utility column; :func:`_build_database` builds from them, so sign
+    and zero errors are raised only once every line has parsed.
     """
-    rows: list[tuple[int, list[int], list[int], int]] = []
+    rows: list[tuple[int, int, int]] = []
+    label_col: list[int] = []
+    util_col: list[int] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith(("#", "@")):
@@ -166,8 +180,10 @@ def parse_spmf(text: str, strict: bool = True) -> UtilityDatabase:
                 )
             log.warning("line %d: declared TU %d != sum %d, recomputed",
                         lineno, declared_tu, actual_tu)
-        rows.append((lineno, labels, utils, actual_tu))
-    return _build_database(rows)
+        label_col += labels
+        util_col += utils
+        rows.append((lineno, len(label_col), actual_tu))
+    return _build_database(rows, label_col, util_col)
 
 
 def write_spmf(db: UtilityDatabase) -> str:
@@ -234,12 +250,16 @@ def generate_synthetic(
     negative_labels = set(rng.sample(all_labels, n_neg))
 
     rows = []
-    for _ in range(n_transactions):
+    label_col: list[int] = []
+    util_col: list[int] = []
+    for tid in range(1, n_transactions + 1):
         length = max(1, min(n_items, round(rng.gauss(avg_len, max(1.0, avg_len / 3)))))
         labels = rng.sample(all_labels, length)
         utils = []
         for lab in labels:
             mag = rng.randint(lo, hi)
             utils.append(-mag if lab in negative_labels else mag)
-        rows.append((len(rows) + 1, labels, utils, sum(utils)))
-    return _build_database(rows)
+        label_col += labels
+        util_col += utils
+        rows.append((tid, len(label_col), sum(utils)))
+    return _build_database(rows, label_col, util_col)

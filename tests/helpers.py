@@ -1,9 +1,16 @@
 """Shared test utilities: campaign generation and exhaustive checkers."""
 from __future__ import annotations
 
+from itertools import compress
+
 from topicmine import (
+    MalformedLineError,
     MinerConfig,
+    MixedSignItemError,
+    Transaction,
+    TuMismatchError,
     UtilityDatabase,
+    ZeroUtilityError,
     compute_item_summaries,
     generate_synthetic,
     mine,
@@ -35,6 +42,77 @@ EXAMPLE_TEXT = """\
 
 def example_database() -> UtilityDatabase:
     return parse_spmf(EXAMPLE_TEXT)
+
+
+def reference_parse_spmf(text: str, strict: bool = True) -> UtilityDatabase:
+    """The reference for :func:`topicmine.parse_spmf`: the same line checks,
+    in the same order, with one ``(line, labels, utilities, TU)`` row per data
+    line and the per-row builder below. Mismatching TUs are recomputed under
+    ``strict=False`` without a warning."""
+    rows = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith(("#", "@")):
+            continue
+        if not line.isascii() or "_" in line:
+            raise MalformedLineError(f"line {lineno}: tokens must be ASCII decimal integers")
+        fields = line.split(":")
+        if len(fields) != 3:
+            raise MalformedLineError(f"line {lineno}: expected 3 ':'-fields, got {len(fields)}")
+        try:
+            labels = list(map(int, fields[0].split()))
+            declared_tu = int(fields[1])
+            utils = list(map(int, fields[2].split()))
+        except ValueError as exc:
+            raise MalformedLineError(f"line {lineno}: {exc}") from None
+        if len(labels) != len(utils):
+            raise MalformedLineError(
+                f"line {lineno}: {len(labels)} items but {len(utils)} utilities"
+            )
+        if not labels:
+            raise MalformedLineError(f"line {lineno}: empty transaction")
+        if len(set(labels)) != len(labels):
+            raise MalformedLineError(f"line {lineno}: duplicate item in transaction")
+        actual_tu = sum(utils)
+        if strict and declared_tu != actual_tu:
+            raise TuMismatchError(f"line {lineno}: declared TU {declared_tu} != sum {actual_tu}")
+        rows.append((lineno, labels, utils, actual_tu))
+    return reference_build_database(rows)
+
+
+def reference_build_database(rows) -> UtilityDatabase:
+    """Per-row database builder: each ``(line, raw labels, utilities, TU)``
+    row feeds the sign sets and the zero test on its own, and is mapped to
+    dense ids on its own. The reference for ``database._build_database``."""
+    positive: set[int] = set()
+    negative: set[int] = set()
+    clean = True
+    for _, labels, utils, _ in rows:
+        positive.update(compress(labels, map((0).__lt__, utils)))
+        negative.update(compress(labels, map((0).__gt__, utils)))
+        clean = clean and 0 not in utils
+    if not clean or not positive.isdisjoint(negative):
+        sign: dict[int, bool] = {}
+        for line, labels, utils, _ in rows:
+            for lab, u in zip(labels, utils):
+                if u == 0:
+                    raise ZeroUtilityError(f"line {line}: item {lab} has utility 0")
+                if sign.setdefault(lab, u > 0) is not (u > 0):
+                    raise MixedSignItemError(f"line {line}: item {lab} occurs with both signs")
+
+    label_list = sorted(positive | negative)
+    dense = dict(zip(label_list, range(len(label_list))))
+
+    transactions = []
+    for tid, (_, labels, utils, tu) in enumerate(rows, start=1):
+        items = list(map(dense.__getitem__, labels))
+        if items != sorted(items):
+            items, utils = map(list, zip(*sorted(zip(items, utils))))
+        transactions.append(Transaction(tid, items, utils, tu))
+
+    positive_ids = frozenset(map(dense.__getitem__, positive))
+    negative_ids = frozenset(map(dense.__getitem__, negative))
+    return UtilityDatabase(transactions, label_list, positive_ids, negative_ids)
 
 
 class CheckingTopKStore(TopKStore):

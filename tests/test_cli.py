@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 from helpers import EXAMPLE_TEXT
@@ -78,6 +79,30 @@ class TestMine:
         none = json.loads(capsys.readouterr().out)
         assert full["result"]["top_k"] == none["result"]["top_k"]
         assert none["result"]["stats"]["candidates"] >= full["result"]["stats"]["candidates"]
+
+
+class TestLenient:
+    """``--lenient`` reaches the parser in every command that reads a file."""
+
+    @pytest.fixture
+    def tu_file(self, tmp_path):
+        path = tmp_path / "tu.spmf"
+        path.write_text("1 2:99:5 5\n")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["mine", "verify", "bench", "oracle"])
+    def test_declared_tu_mismatch(self, tu_file, capsys, caplog, command):
+        assert main([command, "--input", tu_file, "--k", "1"]) == EXIT_DATA_ERROR
+        assert capsys.readouterr().err == "error: line 1: declared TU 99 != sum 10\n"
+        with caplog.at_level(logging.WARNING, logger="topicmine.database"):
+            assert main([command, "--input", tu_file, "--k", "1", "--lenient"]) == EXIT_OK
+        assert [r.getMessage() for r in caplog.records] == [
+            "line 1: declared TU 99 != sum 10, recomputed"]
+
+    def test_mine_reports_the_recomputed_tu(self, tu_file, capsys):
+        args = ["mine", "--input", tu_file, "--k", "1", "--lenient", "--format", "text"]
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == "1 2\t10"
 
 
 class TestVerify:

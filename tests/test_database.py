@@ -3,10 +3,12 @@ import logging
 import random
 
 import pytest
+from helpers import reference_parse_spmf
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topicmine import (
+    DatabaseError,
     MalformedLineError,
     MixedSignItemError,
     TuMismatchError,
@@ -17,6 +19,53 @@ from topicmine import (
     parse_spmf,
     write_spmf,
 )
+
+
+@st.composite
+def spmf_texts(draw):
+    """SPMF text with labels shuffled within lines, negative items, comment,
+    meta, blank and CRLF lines, and up to two injected faults: a zero
+    utility, a label given the other sign in some line (a mixed-sign label
+    unless that is its only occurrence) or a declared TU off by one."""
+    universe = draw(st.lists(st.integers(-3, 20), min_size=1, max_size=8, unique=True))
+    negative = draw(st.sets(st.sampled_from(universe)))
+    rows = [(labels, [draw(st.integers(1, 9)) * (-1 if lab in negative else 1) for lab in labels])
+            for labels in draw(st.lists(st.lists(st.sampled_from(universe), min_size=1, unique=True),
+                                        max_size=8))]
+    off_by_one = set()
+    for fault in draw(st.lists(st.sampled_from(["zero", "sign", "tu"]), max_size=2)):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        labels, utils = rows[i]
+        j = draw(st.integers(0, len(labels) - 1))
+        if fault == "zero":
+            utils[j] = 0
+        elif fault == "tu":
+            off_by_one.add(i)
+        else:
+            other_labels, other_utils = rows[draw(st.integers(0, len(rows) - 1))]
+            u = -utils[j] or 1
+            if labels[j] in other_labels:
+                other_utils[other_labels.index(labels[j])] = u
+            else:
+                other_labels.append(labels[j])
+                other_utils.append(u)
+    lines = []
+    for i, (labels, utils) in enumerate(rows):
+        lines += draw(st.lists(st.sampled_from(["", "  ", "# 1:0:0", "@meta"]), max_size=2))
+        tu = sum(utils) + (i in off_by_one)
+        lines.append(" ".join(map(str, labels)) + f":{tu}:" + " ".join(map(str, utils)))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+def parse_outcome(parse, text, strict):
+    """The database ``parse`` builds from ``text``, or the class and message
+    of the error it raises."""
+    try:
+        return parse(text, strict=strict)
+    except DatabaseError as exc:
+        return type(exc), str(exc)
 
 
 class TestParse:
@@ -147,6 +196,14 @@ class TestParse:
             lines.append(" ".join(p[0] for p in pairs) + f":{tu}:"
                          + " ".join(p[1] for p in pairs))
         assert parse_spmf("\n".join(lines)) == db
+
+    @settings(max_examples=300, deadline=None)
+    @given(spmf_texts(), st.booleans())
+    def test_column_build_matches_per_row_reference(self, text, strict):
+        # the same database, or the same error class and message, as the
+        # per-row reference builder
+        assert (parse_outcome(parse_spmf, text, strict)
+                == parse_outcome(reference_parse_spmf, text, strict))
 
 
 class TestWrite:
