@@ -3,14 +3,16 @@
 The processing order ranks only the items the root keeps, positive items
 before negative ones; within each sign class items ascend by RTWU with
 raw-label ties broken ascending. :func:`remap_database` turns the input
-transactions into the root's rows in one step, dropping every unranked item
-and renaming every other to its rank, so all rows and views below it hold
+transactions into the root's rows, dropping every unranked item and
+renaming every other to its rank, so all rows and views below it hold
 ranks, every rank occurs in the root, and an item precedes another exactly
-when its id is smaller. Every item has one fixed sign and no utility is
-zero, so an occurrence's sign is read from its utility. Rows are sorted
-backward-lexicographically so that identical projected suffixes end up
-adjacent, and they stay so under projection, which lets merging fold each
-view into the previous one in one pass over the views.
+when its id is smaller. It delivers the items' occurrences to their
+transactions in rank order, as :func:`deliver` does below the root, so no
+transaction is sorted on its own. Every item has one fixed sign and no
+utility is zero, so an occurrence's sign is read from its utility. Rows are
+sorted backward-lexicographically so that identical projected suffixes end
+up adjacent, and they stay so under projection, which lets merging fold
+each view into the previous one in one pass over the views.
 
 Children of a search node come from one pass over its views' suffixes
 (occurrence delivery, as in LCM ver. 2): :func:`deliver` buckets every view
@@ -56,31 +58,43 @@ def remap_database(db: UtilityDatabase, order: TotalOrder) -> tuple[list[tuple],
     items (dense ids) that ``order`` does not rank, drop emptied
     transactions, rename items to their ranks in ascending order, and sort
     the rows backward-lexicographically (shorter suffix first), ties in
-    transaction order. The item-to-rank list lives only for the call. A
-    row's sort key is its ranks as a descending list: short tuples that die
-    in one batch would stay allocated on the interpreter's free lists for
-    the rest of the run. The walk over the sorted permutation builds each
-    row's two exact-size tuples and drops its key and its descending
-    utilities at once, so the rows are never held twice."""
-    rank = [None] * db.item_count
-    for r, item in enumerate(order.items):
-        rank[item] = r
+    transaction order. A counting sort by rank: one pass lists each item's
+    occurrences as ``[transaction, utility, ...]``, and a walk over the
+    ranks from the highest down appends ``rank, utility`` to one list per
+    transaction. Each list splits into a descending rank list, the row's
+    sort key, and an ascending utility tuple; a stable sort of the indices
+    by key keeps ties in transaction order. The rows are never held twice:
+    the unranked items' lists are freed before the walk, one interleaved
+    list per transaction made empty up front is smaller than two lists or
+    lists made on first touch, and keys are lists because short tuples that
+    die in one batch would stay on the interpreter's free lists."""
+    occurrences = [[] for _ in range(db.item_count)]
+    for j, t in enumerate(db.transactions):
+        for i, u in zip(t.items, t.utilities):
+            occurrences[i] += (j, u)
+    ranked = list(map(occurrences.__getitem__, order.items))
+    del occurrences
+    rows = [[] for _ in db.transactions]
+    for r in range(len(ranked) - 1, -1, -1):
+        pairs = iter(ranked[r])
+        ranked[r] = None
+        for j, u in zip(pairs, pairs):
+            rows[j] += (r, u)
     keys = []
-    descending = []
-    for t in db.transactions:
-        row = {rank[i]: u for i, u in zip(t.items, t.utilities) if rank[i] is not None}
+    ascending = []
+    for j, row in enumerate(rows):
         if row:
-            key = sorted(row, reverse=True)
-            keys.append(key)
-            descending.append(tuple(map(row.__getitem__, key)))
+            keys.append(row[::2])
+            ascending.append(tuple(row[-1::-2]))
+            rows[j] = None
     items = []
     utilities = []
     for j in sorted(range(len(keys)), key=keys.__getitem__):
         key = keys[j]
         key.reverse()
         items.append(tuple(key))
-        utilities.append(descending[j][::-1])
-        keys[j] = descending[j] = None
+        utilities.append(ascending[j])
+        keys[j] = None
     return items, utilities
 
 

@@ -12,6 +12,8 @@ from helpers import (
     rank_map,
     view_fields,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topicmine import compute_item_summaries, generate_synthetic, parse_spmf
 from topicmine.bounds import compute_bounds, compute_rsu
@@ -164,16 +166,49 @@ class TestRemap:
             assert rows == reference_rows(db, order)
             assert rows[1] == want
 
-    @pytest.mark.parametrize("shape", [(300, 6, (1, 9), 0.6), (40, 10, (1, 99), 0.0)],
-                             ids=["signed-sparse", "positive-dense"])
-    def test_memory_is_the_rows(self, shape):
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_sort(self, data):
+        # the counting sort by rank gives the rows, row order, tie order and
+        # tuple types of a plain stable sort, for any kept subset; repeated
+        # transactions tie on the whole sort key
+        n_items = data.draw(st.integers(1, 12), label="n_items")
+        db = generate_synthetic(data.draw(st.integers(0, 60), label="n_transactions"), n_items,
+                                data.draw(st.integers(1, n_items), label="avg_len"), (1, 9),
+                                data.draw(st.sampled_from([0.0, 0.3, 0.6]), label="nf"),
+                                data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        transactions = db.transactions
+        if transactions:
+            copies = data.draw(st.lists(st.integers(0, len(transactions) - 1), max_size=8),
+                               label="duplicated")
+            for j in copies:
+                at = data.draw(st.integers(0, len(transactions)))
+                transactions.insert(at, transactions[j])
+        keep = data.draw(st.one_of(st.just(set()), st.just(set(range(n_items))),
+                                   st.sets(st.integers(0, n_items - 1))), label="keep")
+        order = kept_order(db, keep)
+        rows = remap_database(db, order)
+        assert rows == reference_rows(db, order)
+        assert all(type(row) is tuple for column in rows for row in column)
+
+    @pytest.mark.parametrize("shape, keep_two_thirds", [
+        ((300, 6, (1, 9), 0.6), False),
+        ((40, 10, (1, 99), 0.0), False),
+        ((300, 6, (1, 9), 0.6), True),
+        ((1000, 6, (1, 9), 0.6), False),
+    ], ids=["signed-sparse", "positive-dense", "signed-sparse-keep-two-thirds", "thousand-items"])
+    def test_memory_is_the_rows(self, shape, keep_two_thirds):
         # the build leaves nothing behind but its rows, and never holds
         # much more than one copy of them; a batch of short tuples that
         # died together would stay traced on the interpreter's free lists,
-        # which a full collection empties first
+        # which a full collection empties first; the occurrence lists of
+        # the items a partial order drops must not last into the walk
         n_items, avg_len, utility_range, negative_fraction = shape
         db = generate_synthetic(2000, n_items, avg_len, utility_range, negative_fraction, 3)
-        order = build_total_order(compute_item_summaries(db))
+        summaries = compute_item_summaries(db)
+        if keep_two_thirds:
+            summaries = [s for s in summaries if s.item % 3 != 1]
+        order = build_total_order(summaries)
         started = not tracemalloc.is_tracing()
         gc.collect()
         if started:
