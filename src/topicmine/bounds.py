@@ -16,9 +16,9 @@ each view's suffix splits at the first rank of a negative item: the RLU/RSU
 scan reads only the positions before that split and the cap scan only those
 from it on. The RSU scan walks a view's positive positions backward with a
 running remaining utility, as EFIM does, and RLU sums them once per view.
-The RSU scan, and only it, stops early, as HUP-Miner's LA-Prune does: each
-view adds at most its own total to any item's bound, and the views' totals
-add up to the node's RSU of the child's item, so once the views left cannot
+Either scan stops early, as HUP-Miner's LA-Prune does: each view adds at
+most its own total to any item's bound, and the views' totals add up to at
+most the node's bound of the child's item, so once the views left cannot
 lift the largest bound to the threshold, the scan only sums the child's
 utility from them.
 The root has no parent bucket; its RSU (:func:`compute_rsu`) and its pair
@@ -35,7 +35,7 @@ from .ordering import ProjectedDatabase
 
 
 def compute_bounds(pdb: ProjectedDatabase, occurrences, cutoff: int,
-                   subtree: bool = True, rsu: float = inf,
+                   subtree: bool = True, node_bound: float = inf,
                    mu: int = 0) -> tuple[int, list[int]]:
     """``(utility, bound)`` of the child of ``pdb`` that the bucket
     ``occurrences`` describes: the child's exact utility and one bound per
@@ -53,41 +53,49 @@ def compute_bounds(pdb: ProjectedDatabase, occurrences, cutoff: int,
     one without it, which keeps an extension if its RLU reaches the threshold
     and it occurs (RSU > 0, already implied by RLU >= 1), needs only RLU.
 
-    Given ``rsu``, the node's RSU of the child's item, and the threshold
-    ``mu``, the RSU scan stops early (RLU never does). A view adds at most
-    its total, the child's prefix utility there plus the positive utilities
-    after it, to any bound, and the views' totals sum to ``rsu``. So once
-    ``left``, ``rsu`` less the totals read, is below ``mu`` less the
-    largest bound, no bound can reach ``mu``: the scan only sums the
-    child's utility from the views left and returns partial bounds, all
-    below ``mu``. This holds under a prefix of positive items, as in the
-    search. The largest bound is read again only when ``left`` falls below
-    its last gap to ``mu``; the stop is armed only when the bucket has more
-    views than there are positive ranks, so one ``max`` costs no more than
-    the scan it may cut short. With ``rsu`` and ``mu`` omitted the scan is
-    exact."""
+    Given ``node_bound``, the node's RSU or RLU of the child's item, and the
+    threshold ``mu``, either scan stops early. A view adds at most its
+    total, the child's prefix utility there plus the positive utilities
+    after it, to any bound (RLU adds exactly that), and the views' totals
+    sum to the node's RSU of the item, so to at most ``node_bound``. So once ``left``,
+    ``node_bound`` less the totals read, is below ``mu`` less the largest
+    bound, no bound can reach ``mu``: the scan only sums the child's
+    utility from the views left and returns partial bounds, all below
+    ``mu``. This holds under a prefix of positive items, as in the search.
+    The largest bound is read again only when ``left`` falls below its last
+    gap to ``mu``. The stop is armed only when the bucket has more views
+    than there are positive ranks, so one ``max`` costs no more than the
+    scan it may cut short. With ``node_bound`` and ``mu`` omitted the scan
+    is exact."""
     bound = [0] * cutoff
     utility = 0
     item_rows = pdb.items
     utility_rows = pdb.utilities
     prefixes = pdb.prefixes
     pairs = iter(occurrences)
-    if subtree:
-        # ``left`` is what the views not yet read still add to the RSU of
-        # the child's item; ``gap`` is the threshold less the largest bound
-        # at its last reading, which only shrinks as the bounds grow. An
-        # unarmed scan keeps a gap of 0, which ``left`` never falls below
-        left = rsu
-        gap = mu if len(occurrences) > 2 * cutoff else 0
-        for i, p in zip(pairs, pairs):
-            items = item_rows[i]
-            utils = utility_rows[i]
-            total = prefixes[i] + utils[p]
-            utility += total
-            # every position before the split holds a positive item
+    armed = len(occurrences) > 2 * cutoff
+    # ``left`` is the most the views not yet read can still add to a bound;
+    # ``gap`` is the threshold less the largest bound at its last reading,
+    # which only shrinks as the bounds grow
+    left = node_bound
+    gap = mu
+    for i, p in zip(pairs, pairs):
+        items = item_rows[i]
+        utils = utility_rows[i]
+        total = prefixes[i] + utils[p]
+        utility += total
+        # every position before the split holds a positive item
+        if subtree:
             for q in range(bisect_left(items, cutoff, p + 1) - 1, p, -1):
                 total += utils[q]
                 bound[items[q]] += total
+        else:
+            p += 1
+            end = bisect_left(items, cutoff, p)
+            total += sum(utils[p:end])
+            for q in range(p, end):
+                bound[items[q]] += total
+        if armed:
             left -= total
             if left < gap:
                 gap = mu - max(bound)
@@ -95,17 +103,6 @@ def compute_bounds(pdb: ProjectedDatabase, occurrences, cutoff: int,
                     for i, p in zip(pairs, pairs):
                         utility += prefixes[i] + utility_rows[i][p]
                     break
-    else:
-        for i, p in zip(pairs, pairs):
-            items = item_rows[i]
-            utils = utility_rows[i]
-            prefix = prefixes[i] + utils[p]
-            utility += prefix
-            p += 1
-            end = bisect_left(items, cutoff, p)
-            base = prefix + sum(utils[p:end])
-            for q in range(p, end):
-                bound[items[q]] += base
     return utility, bound
 
 

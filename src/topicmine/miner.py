@@ -195,8 +195,8 @@ class _Search:
         compared with the threshold when the list is made, before the
         child's negative items are searched.
 
-        A positive z's RSU scan is given z's bound in ``pdb`` and the
-        threshold read before the child is offered, and stops once no
+        A positive z's RSU or RLU scan is given z's bound in ``pdb`` and
+        the threshold read before the child is offered, and stops once no
         positive extension can reach that threshold; the threshold only
         rises, so the extensions are the same. A child whose scan stopped
         still takes its caps when it beats the threshold, and the partial

@@ -185,65 +185,78 @@ class TestArrays:
 
 
 def positive_scans(merged):
-    """``(cutoff, node, z, occurrences, rsu)`` for every positive z of
+    """``(cutoff, node, z, occurrences, rlu, rsu)`` for every positive z of
     :func:`campaign_buckets`, whose prefix is all positive as in the
-    search's RSU scans, with z's RSU in the node."""
+    search's bound scans, with z's RLU and RSU in the node."""
     for _, cutoff, _, pdb, z, occurrences in campaign_buckets(merged):
         if z < cutoff:
-            yield cutoff, pdb, z, occurrences, reference_bounds(pdb)[1][z]
+            rlu, rsu = reference_bounds(pdb)
+            yield cutoff, pdb, z, occurrences, rlu[z], rsu[z]
 
 
 class TestEarlyStop:
     @pytest.mark.parametrize("merged", [False, True], ids=["unmerged", "merged"])
     def test_view_totals_sum_to_the_node_rsu(self, merged):
         # a view's total is the child's prefix utility there plus the
-        # positive utilities after it: the most it adds to any bound. The
-        # totals of z's bucket sum to the node's RSU of z, which the stop
-        # counts down from
+        # positive utilities after it: the most it adds to any bound, RSU
+        # or RLU. The totals of z's bucket sum to the node's
+        # RSU of z, which the search passes at the root (compute_rsu, which
+        # TestArrays checks against the reference), and so to at most its
+        # RLU, which the search passes below the root without subtree
+        # pruning; the stop counts down from either
         checked = 0
-        for _, pdb, z, occurrences, rsu in positive_scans(merged):
+        for _, pdb, _, occurrences, rlu, rsu in positive_scans(merged):
             pairs = iter(occurrences)
-            assert rsu == sum(pdb.prefixes[i] + sum(u for u in pdb.utilities[i][p:] if u > 0)
-                              for i, p in zip(pairs, pairs))
+            assert rlu >= rsu == sum(
+                pdb.prefixes[i] + sum(u for u in pdb.utilities[i][p:] if u > 0)
+                for i, p in zip(pairs, pairs))
             checked += 1
         assert checked > 1000
 
     @pytest.mark.parametrize("merged", [False, True], ids=["unmerged", "merged"])
     def test_stopped_scans_keep_no_extension(self, merged):
-        # a scan given the node's RSU of z and a threshold mu either returns
-        # the full list, or stops: then it still returns the exact utility,
-        # each of its bounds is at most the full one, and every entry of the
-        # full list is below mu, so the stop loses no extension
-        stopped = full = 0
-        for cutoff, pdb, z, occurrences, rsu in positive_scans(merged):
-            utility, exact = compute_bounds(pdb, occurrences, cutoff)
-            top = max(exact)
-            for mu in {1, top, top + 1, (top + rsu) // 2 + 1, rsu + 1}:
-                got, bound = compute_bounds(pdb, occurrences, cutoff, True, rsu, mu)
-                assert got == utility
-                if bound == exact:
-                    full += 1
-                else:
-                    stopped += 1
-                    assert top < mu
-                    assert all(b <= e for b, e in zip(bound, exact))
-        assert stopped > 100 and full > stopped
+        # an RSU or RLU scan given the node's RSU or RLU of z and a
+        # threshold mu either returns the full list, or stops: then it
+        # still returns the exact utility, each of its bounds is at most the
+        # full one, and every entry of the full list is below mu, the floor
+        # the search keeps an extension at, so the stop loses no extension
+        stopped = {True: 0, False: 0}
+        full = {True: 0, False: 0}
+        for cutoff, pdb, z, occurrences, rlu, rsu in positive_scans(merged):
+            for subtree in (True, False):
+                utility, exact = compute_bounds(pdb, occurrences, cutoff, subtree)
+                top = max(exact)
+                for node_bound in {rsu, rlu}:
+                    for mu in {1, top, top + 1, (top + node_bound) // 2 + 1, node_bound + 1}:
+                        got, bound = compute_bounds(pdb, occurrences, cutoff, subtree,
+                                                    node_bound, mu)
+                        assert got == utility
+                        if bound == exact:
+                            full[subtree] += 1
+                        else:
+                            stopped[subtree] += 1
+                            assert top < mu
+                            assert all(b <= e for b, e in zip(bound, exact))
+        for subtree in (True, False):
+            assert stopped[subtree] > 100 and full[subtree] > stopped[subtree]
 
     def test_default_call_never_stops(self):
-        # without a threshold the scan reads every view, even given the RSU
-        # that would stop it, and equals the built child's reference
-        for cutoff, pdb, _, occurrences, rsu in positive_scans(False):
-            _, ref_rsu = reference_bounds(project(pdb, occurrences))
-            scan = compute_bounds(pdb, occurrences, cutoff)
-            assert scan[1] == [ref_rsu.get(w, 0) for w in range(cutoff)]
-            assert compute_bounds(pdb, occurrences, cutoff, True, rsu) == scan
+        # without a threshold either scan reads every view, even given the
+        # node bound that would stop it, and equals the built child's
+        # reference
+        for cutoff, pdb, _, occurrences, rlu, rsu in positive_scans(False):
+            ref_rlu, ref_rsu = reference_bounds(project(pdb, occurrences))
+            for subtree, node_bound, ref in ((True, rsu, ref_rsu), (False, rlu, ref_rlu)):
+                scan = compute_bounds(pdb, occurrences, cutoff, subtree)
+                assert scan[1] == [ref.get(w, 0) for w in range(cutoff)]
+                assert compute_bounds(pdb, occurrences, cutoff, subtree, node_bound) == scan
 
     def test_stop_fires_on_a_dense_bucket(self):
         # ten identical views of 1 2 3 at the root: item 1's bucket holds
         # more views than there are positive ranks, so the stop is armed.
         # Each view's total is 6 and item 1's RSU is 60. At a threshold of
-        # 61 the first view leaves 54 < 61 - 6, so the scan stops there; at
-        # 60, which item 2's full bound reaches, it reads every view
+        # 61 the first view leaves 54 < 61 - 6, so either scan stops there;
+        # at 60, which item 2's full bound reaches, it reads every view
         db = parse_spmf("1 2 3:6:1 2 3\n" * 10)
         root, r, cutoff = rooted(db, {label: i for i, label in enumerate(db.labels)})
         occurrences = bucket(root, r[1])
@@ -256,9 +269,12 @@ class TestEarlyStop:
         stopped = [0] * cutoff
         stopped[r[2]], stopped[r[3]] = 6, 4
         assert compute_bounds(root, occurrences, cutoff, True, rsu, 61) == (10, stopped)
-        # the RLU scan never stops
-        _, rlu = compute_bounds(root, occurrences, cutoff, False, rsu, 61)
-        assert rlu[r[2]] == rlu[r[3]] == 60
+        # each view adds its total, 6, to both RLU bounds
+        full[r[2]] = full[r[3]] = 60
+        assert compute_bounds(root, occurrences, cutoff, False) == (10, full)
+        assert compute_bounds(root, occurrences, cutoff, False, rsu, 60) == (10, full)
+        stopped[r[2]] = stopped[r[3]] = 6
+        assert compute_bounds(root, occurrences, cutoff, False, rsu, 61) == (10, stopped)
 
 
 class TestRiu:

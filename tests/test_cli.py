@@ -217,8 +217,8 @@ ORACLE_SMOKE_SHAPES = [
     # negative utilities
     ("neg", "--transactions 300 --items 14 --avg-len 9 --max-utility 5 "
             "--negative-fraction 0.6 --seed 2", "1,5,40"),
-    # long transactions of small utilities: many positive children's
-    # sub-tree bound scans stop early, some on children that go on to
+    # long transactions of small utilities: in every variant many positive
+    # children's bound scans stop early, some on children that go on to
     # negative extensions
     ("stop", "--transactions 300 --items 14 --avg-len 9 --max-utility 5 "
              "--negative-fraction 0.3 --seed 1", "1,10,50"),

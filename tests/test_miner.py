@@ -525,9 +525,9 @@ def test_root_filter_drops_some_negative_items(monkeypatch):
     compute_negative_caps = topicmine.miner.compute_negative_caps
     run = topicmine.miner._Search.run
 
-    def capping(pdb, occurrences, cutoff, n):
-        ns.append(n)
-        return compute_negative_caps(pdb, occurrences, cutoff, n)
+    def capping(*args):
+        ns.append(args[3])
+        return compute_negative_caps(*args)
 
     def running(self, root, buckets, candidates, rsu):
         root_buckets.append(sorted(buckets) == list(range(self.cutoff)))
@@ -544,37 +544,41 @@ def test_root_filter_drops_some_negative_items(monkeypatch):
     assert root_buckets == [True] * len(VARIANT_NAMES)
 
 
-@pytest.mark.parametrize("variant", ["full", "subtree-only"])
+@pytest.mark.parametrize("variant", VARIANT_NAMES)
 def test_stopped_bound_scans_change_no_result_or_counter(monkeypatch, variant):
-    # On this dense instance many positive children's RSU scans stop early,
-    # some of them on children that still beat the threshold and go on to
-    # their negative extensions. Each run keeps the oracle's top-k, and the
-    # result, every counter and the threshold history of a run whose scans
-    # read every view.
+    # On this dense instance many positive children's RSU or RLU scans stop
+    # early at every k, some of them on children that still beat the
+    # threshold and go on to their negative extensions. Each run keeps the
+    # oracle's top-k, and the result, every counter and the threshold
+    # history of a run whose scans read every view.
     db = generate_synthetic(300, 14, 9, (1, 5), 0.3, seed=1)
     compute_bounds = topicmine.miner.compute_bounds
     compute_negative_caps = topicmine.miner.compute_negative_caps
     stopped = []
     capped = []
 
-    def stopping(pdb, occurrences, cutoff, subtree, rsu, mu):
-        result = compute_bounds(pdb, occurrences, cutoff, subtree, rsu, mu)
-        if result != compute_bounds(pdb, occurrences, cutoff, subtree):
-            stopped.append(occurrences)
+    # the wrappers forward every argument, so a new kernel parameter
+    # passes through them
+    def stopping(*args):
+        result = compute_bounds(*args)
+        if result != compute_bounds(*args[:4]):
+            stopped.append(args[1])
         return result
 
-    def capping(pdb, occurrences, cutoff, n):
-        capped.append(bool(stopped) and stopped[-1] is occurrences)
-        return compute_negative_caps(pdb, occurrences, cutoff, n)
+    def capping(*args):
+        capped.append(bool(stopped) and stopped[-1] is args[1])
+        return compute_negative_caps(*args)
 
-    def reading_every_view(pdb, occurrences, cutoff, subtree, rsu, mu):
-        return compute_bounds(pdb, occurrences, cutoff, subtree)
+    def reading_every_view(*args):
+        return compute_bounds(*args[:4])
 
     monkeypatch.setattr(topicmine.miner, "compute_negative_caps", capping)
     for k in (1, 10, 50):
         config = MinerConfig.variant(k, variant)
         monkeypatch.setattr(topicmine.miner, "compute_bounds", stopping)
+        before = len(stopped)
         early = mine(db, config)
+        assert len(stopped) - before > 100, k
         monkeypatch.setattr(topicmine.miner, "compute_bounds", reading_every_view)
         full = mine(db, config)
         assert early.top_k == full.top_k == enumerate_topk(db, k).top_k, k
@@ -582,7 +586,6 @@ def test_stopped_bound_scans_change_no_result_or_counter(monkeypatch, variant):
         assert early.min_util_history == full.min_util_history, k
         early.stats.runtime_ms = full.stats.runtime_ms = 0
         assert early.stats == full.stats, k
-    assert len(stopped) > 100
     assert sum(capped) > 0
 
 
