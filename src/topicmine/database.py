@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import gt, lt
 
@@ -45,8 +45,9 @@ class Transaction:
     """One input transaction: parallel item/utility lists plus the cached total.
 
     ``items`` holds dense item ids in ascending order; ``tu`` is always the
-    exact sum of ``utilities``. The miner reads transactions only to sum
-    item summaries and to build the root's rows (``ordering.remap_database``).
+    exact sum of ``utilities``. The miner reads transactions only in
+    :func:`compute_item_summaries`, whose occurrence lists the root's rows
+    are built from (``ordering.remap_database``).
     """
 
     tid: int
@@ -76,13 +77,17 @@ class UtilityDatabase:
 
 @dataclass(slots=True)
 class ItemSummary:
-    """Per-item aggregates over the whole database."""
+    """Per-item aggregates over the whole database, and the occurrences they
+    are summed from."""
 
     item: int
     utility: int      # sum of U(x, T) over all transactions containing x
     twu: int          # sum of TU(T) over transactions containing x
     rtwu: int         # like twu, but TU replaced by its positive part
     positive: bool
+    # [transaction index, utility, ...] in transaction order; the root's
+    # rows are built from it (``ordering.remap_database``)
+    occurrences: list[int] = field(repr=False, compare=False)
 
 
 def _build_database(
@@ -202,22 +207,27 @@ def write_spmf(db: UtilityDatabase) -> str:
 
 
 def compute_item_summaries(db: UtilityDatabase) -> list[ItemSummary]:
-    """Compute utility, TWU and RTWU for every item (dense-id order)."""
-    n = db.item_count
-    utility = [0] * n
-    twu = [0] * n
-    rtwu = [0] * n
-    positive = (0).__lt__
-    for t in db.transactions:
-        rtu = sum(filter(positive, t.utilities))
+    """Compute utility, TWU and RTWU for every item (dense-id order).
+
+    One pass over the transactions lists each item's occurrences; it is the
+    only Python-level loop over them. The sums are read from the lists by
+    builtins: an item's utility sums its utilities, its TWU and RTWU sum the
+    TU and the positive part of the TU of the transactions it occurs in."""
+    transactions = db.transactions
+    occurrences = [[] for _ in range(db.item_count)]
+    for j, t in enumerate(transactions):
         for i, u in zip(t.items, t.utilities):
-            utility[i] += u
-            twu[i] += t.tu
-            rtwu[i] += rtu
-    return [
-        ItemSummary(i, utility[i], twu[i], rtwu[i], i in db.positive_items)
-        for i in range(n)
-    ]
+            occurrences[i] += (j, u)
+    tu = [t.tu for t in transactions]
+    positive = (0).__lt__
+    rtu = [sum(filter(positive, t.utilities)) for t in transactions]
+    summaries = []
+    for i, occ in enumerate(occurrences):
+        tids = occ[::2]
+        summaries.append(ItemSummary(i, sum(occ[1::2]), sum(map(tu.__getitem__, tids)),
+                                     sum(map(rtu.__getitem__, tids)),
+                                     i in db.positive_items, occ))
+    return summaries
 
 
 def generate_synthetic(

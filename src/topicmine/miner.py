@@ -262,13 +262,17 @@ def mine(db: UtilityDatabase, config: MinerConfig) -> MineResult:
     # An itemset holding an item whose RTWU (at the root, a positive item's
     # RLU) is below the threshold is worth less, so only the other items are
     # ranked. From here on items are ranks; results are translated back
-    # through ``order.items``. The pair raise needs only item utilities.
+    # through ``order.items``. The pair raise needs only item utilities, and
+    # the root's rows only the ranked items' occurrences: dropping the
+    # summaries frees the others' before the rows are built.
     order = build_total_order([s for s in summaries if s.rtwu >= store.min_util])
     rank_utility = [summaries[i].utility for i in order.items]
+    ranked = [summaries[i].occurrences for i in order.items]
     del summaries
     cutoff = order.positive_cutoff
     search = _Search(store, config, stats, cutoff, len(order.items))
-    root, buckets = search._enter(build_root(remap_database(db, order)), range(cutoff))
+    root, buckets = search._enter(build_root(remap_database(ranked, len(db.transactions))),
+                                  range(cutoff))
     candidates = range(cutoff)
     store.raise_to_kth(
         _item_and_pair_utilities(riu, rank_utility, root, buckets, candidates, config.k))

@@ -2,11 +2,12 @@
 
 The processing order ranks only the items the root keeps, positive items
 before negative ones; within each sign class items ascend by RTWU with
-raw-label ties broken ascending. :func:`remap_database` turns the input
-transactions into the root's rows, dropping every unranked item and
-renaming every other to its rank, so all rows and views below it hold
-ranks, every rank occurs in the root, and an item precedes another exactly
-when its id is smaller. It delivers the items' occurrences to their
+raw-label ties broken ascending. :func:`remap_database` builds the root's
+rows from the ranked items' occurrence lists, which the item summaries
+pass made, and never reads the input transactions: every unranked item is
+dropped and every other renamed to its rank, so all rows and views below
+it hold ranks, every rank occurs in the root, and an item precedes another
+exactly when its id is smaller. It delivers the items' occurrences to their
 transactions in rank order, as :func:`deliver` does below the root, so no
 transaction is sorted on its own. Every item has one fixed sign and no
 utility is zero, so an occurrence's sign is read from its utility. Rows are
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .database import ItemSummary, UtilityDatabase
+from .database import ItemSummary
 
 
 @dataclass(frozen=True)
@@ -53,31 +54,27 @@ def build_total_order(summaries: list[ItemSummary]) -> TotalOrder:
     return TotalOrder([s.item for s in positives + negatives], len(positives))
 
 
-def remap_database(db: UtilityDatabase, order: TotalOrder) -> tuple[list[tuple], list[tuple]]:
-    """Build the root's rows as two lists, ``(items, utilities)``: drop
-    items (dense ids) that ``order`` does not rank, drop emptied
-    transactions, rename items to their ranks in ascending order, and sort
-    the rows backward-lexicographically (shorter suffix first), ties in
-    transaction order. A counting sort by rank: one pass lists each item's
-    occurrences as ``[transaction, utility, ...]``, and a walk over the
+def remap_database(ranked: list[list[int]],
+                   n_transactions: int) -> tuple[list[tuple], list[tuple]]:
+    """Build the root's rows as two lists, ``(items, utilities)``, from the
+    occurrences of the ranked items: ``ranked[r]`` lists, in transaction
+    order, the occurrences of the item of rank ``r`` as ``[transaction,
+    utility, ...]`` (``ItemSummary.occurrences``), over ``n_transactions``
+    transactions. Unranked items are dropped, emptied transactions too, and
+    the rows are sorted backward-lexicographically (shorter suffix first),
+    ties in transaction order. A counting sort by rank: a walk over the
     ranks from the highest down appends ``rank, utility`` to one list per
     transaction. Each list splits into a descending rank list, the row's
     sort key, and an ascending utility tuple; a stable sort of the indices
     by key keeps ties in transaction order. The rows are never held twice:
-    the unranked items' lists are freed before the walk, one interleaved
-    list per transaction made empty up front is smaller than two lists or
-    lists made on first touch, and keys are lists because short tuples that
-    die in one batch would stay on the interpreter's free lists."""
-    occurrences = [[] for _ in range(db.item_count)]
-    for j, t in enumerate(db.transactions):
-        for i, u in zip(t.items, t.utilities):
-            occurrences[i] += (j, u)
-    ranked = list(map(occurrences.__getitem__, order.items))
-    del occurrences
-    rows = [[] for _ in db.transactions]
+    the walk empties ``ranked``, popping each list as it reads it, one
+    interleaved list per transaction made empty up front is smaller than
+    two lists or lists made on first touch, and keys are lists because
+    short tuples that die in one batch would stay on the interpreter's free
+    lists."""
+    rows = [[] for _ in range(n_transactions)]
     for r in range(len(ranked) - 1, -1, -1):
-        pairs = iter(ranked[r])
-        ranked[r] = None
+        pairs = iter(ranked.pop())
         for j, u in zip(pairs, pairs):
             rows[j] += (r, u)
     keys = []

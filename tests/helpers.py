@@ -204,7 +204,7 @@ def campaign_nodes(merged):
         for nf in (0.0, 0.3, 0.6):
             db = campaign_db(seed, nf)
             order = build_total_order(compute_item_summaries(db))
-            root = enter(build_root(remap_database(db, order)))
+            root = enter(build_root(remap(db, order)))
             for prefix, pdb in nodes_to_depth_two(root, db.item_count, enter):
                 yield db, order.positive_cutoff, prefix, pdb
 
@@ -223,6 +223,34 @@ def campaign_buckets(merged):
 def rank_map(order):
     """Item id -> rank for every item that ``order`` ranks."""
     return {item: r for r, item in enumerate(order.items)}
+
+
+def remap(db, order):
+    """The root's rows of ``db`` under ``order``, built as ``mine`` builds
+    them: from the occurrences of the items ``order`` ranks, in rank order."""
+    summaries = compute_item_summaries(db)
+    return remap_database([summaries[i].occurrences for i in order.items],
+                          len(db.transactions))
+
+
+def reference_item_summaries(db):
+    """``(item, utility, TWU, RTWU, positive, occurrences)`` for every item
+    (dense-id order), summed one occurrence at a time: the reference for
+    :func:`topicmine.compute_item_summaries`."""
+    n = db.item_count
+    utility = [0] * n
+    twu = [0] * n
+    rtwu = [0] * n
+    occurrences = [[] for _ in range(n)]
+    for j, t in enumerate(db.transactions):
+        rtu = sum(u for u in t.utilities if u > 0)
+        for i, u in zip(t.items, t.utilities):
+            utility[i] += u
+            twu[i] += t.tu
+            rtwu[i] += rtu
+            occurrences[i] += (j, u)
+    return [(i, utility[i], twu[i], rtwu[i], i in db.positive_items, occurrences[i])
+            for i in range(n)]
 
 
 def exact_utility(db, ranks):
@@ -269,7 +297,7 @@ def check_bound_soundness(db: UtilityDatabase) -> int:
         return 0
     summaries = compute_item_summaries(db)
     order = build_total_order(summaries)
-    root = build_root(remap_database(db, order))
+    root = build_root(remap(db, order))
     util = all_supported_utilities(db)
     by_rank = order.items
     m = db.item_count
@@ -337,7 +365,7 @@ def reconstruct_merged(db: UtilityDatabase) -> UtilityDatabase:
     """Database equivalent of the fully merged top-level projection."""
     summaries = compute_item_summaries(db)
     order = build_total_order(summaries)
-    merged = merge_identical(build_root(remap_database(db, order)))
+    merged = merge_identical(build_root(remap(db, order)))
     lines = []
     for ranks, utilities, offset, _, _ in view_fields(merged):
         labelled = sorted(

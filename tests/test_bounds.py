@@ -9,6 +9,7 @@ from helpers import (
     exact_utility,
     project_on,
     rank_map,
+    remap,
     reference_bounds,
     reference_negative_caps,
     view_fields,
@@ -29,7 +30,6 @@ from topicmine.ordering import (
     deliver,
     merge_identical,
     project,
-    remap_database,
 )
 
 
@@ -38,7 +38,7 @@ def rooted(db, ids=None):
     the fixture's dense ids, the same names mapped to the ranks the
     projection holds."""
     order = build_total_order(compute_item_summaries(db))
-    root = build_root(remap_database(db, order))
+    root = build_root(remap(db, order))
     rank = rank_map(order)
     ranks = {name: rank[i] for name, i in (ids or {}).items()}
     return root, ranks, order.positive_cutoff

@@ -3,8 +3,8 @@ import logging
 import random
 
 import pytest
-from helpers import reference_parse_spmf
-from hypothesis import given, settings
+from helpers import reference_item_summaries, reference_parse_spmf
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topicmine import (
@@ -57,6 +57,28 @@ def spmf_texts(draw):
         tu = sum(utils) + (i in off_by_one)
         lines.append(" ".join(map(str, labels)) + f":{tu}:" + " ".join(map(str, utils)))
     return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+@st.composite
+def valid_databases(draw):
+    """A database parsed from valid SPMF text: all-positive, all-negative or
+    mixed signs, labels shuffled within lines, repeated lines, and from no
+    line up."""
+    universe = draw(st.lists(st.integers(-3, 20), min_size=1, max_size=8, unique=True))
+    signs = draw(st.sampled_from(["positive", "negative", "mixed"]))
+    if signs == "mixed":
+        negative = draw(st.sets(st.sampled_from(universe)))
+    else:
+        negative = set(universe) if signs == "negative" else set()
+    rows = draw(st.lists(st.lists(st.sampled_from(universe), min_size=1, unique=True),
+                         max_size=8))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    lines = []
+    for labels in draw(st.permutations(rows)):
+        utils = [draw(st.integers(1, 9)) * (-1 if lab in negative else 1) for lab in labels]
+        lines.append(" ".join(map(str, labels)) + f":{sum(utils)}:" + " ".join(map(str, utils)))
+    return parse_spmf("\n".join(lines))
 
 
 def parse_outcome(parse, text, strict):
@@ -244,6 +266,23 @@ class TestSummaries:
         db = parse_spmf("1 2:8:5 3\n2 3:9:4 5")
         for s in compute_item_summaries(db):
             assert s.rtwu == s.twu
+
+    def test_rtwu_is_zero_without_positives(self):
+        db = parse_spmf("1 2:-8:-5 -3\n2 3:-9:-4 -5")
+        assert [(s.twu, s.rtwu) for s in compute_item_summaries(db)] == [(-8, 0), (-17, 0), (-9, 0)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_databases())
+    @example(parse_spmf(""))
+    @example(parse_spmf("3 1 2:6:1 2 3"))
+    @example(parse_spmf("2 1:-5:-4 -1\n2 1:-5:-4 -1"))
+    def test_matches_per_occurrence_reference(self, db):
+        # the sums read by builtins from each item's occurrence list equal
+        # the sums made one occurrence at a time, and the list holds every
+        # occurrence in transaction order
+        got = [(s.item, s.utility, s.twu, s.rtwu, s.positive, s.occurrences)
+               for s in compute_item_summaries(db)]
+        assert got == reference_item_summaries(db)
 
 
 class TestGenerate:

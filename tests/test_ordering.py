@@ -10,6 +10,7 @@ from helpers import (
     example_database,
     project_on,
     rank_map,
+    remap,
     view_fields,
 )
 from hypothesis import given, settings
@@ -36,7 +37,7 @@ def canonical(example_db):
 
 def remapped_example(example_db):
     order = canonical(example_db)
-    return remap_database(example_db, order), order
+    return remap(example_db, order), order
 
 
 def example_root(example_db, ids):
@@ -103,14 +104,14 @@ class TestRemap:
     def test_empty_keep_sets(self, example_db):
         order = kept_order(example_db, set())
         assert order.items == []
-        rdb = remap_database(example_db, order)
+        rdb = remap(example_db, order)
         assert rdb == ([], [])
 
     def test_back_to_front_transaction_order(self):
         # {a,b} sorts below {a,b,c} which sorts below {a,b,e}
         db = parse_spmf("1 2 3:3:1 1 1\n1 2 5:4:1 1 2\n1 2:2:1 1")
         order = kept_order(db, db.positive_items)
-        rdb = remap_database(db, order)
+        rdb = remap(db, order)
         lengths_and_labels = [sorted(db.labels[order.items[r]] for r in items)
                               for items in rdb[0]]
         assert lengths_and_labels == [[1, 2], [1, 2, 3], [1, 2, 5]]
@@ -118,7 +119,7 @@ class TestRemap:
     def test_dropped_items_recompute_tu(self, example_db, ids):
         order = kept_order(example_db, {ids["D"]})
         assert order.items == [ids["D"]]
-        items, utilities = remap_database(example_db, order)
+        items, utilities = remap(example_db, order)
         assert all(row == (0,) for row in items)
         assert sorted(utilities) == [(12,), (30,), (36,), (36,)]
 
@@ -132,7 +133,7 @@ class TestRemap:
                 db = campaign_db(seed, nf)
                 keep = {i for i in range(db.item_count) if not (dropping and i % 3 == 1)}
                 order = kept_order(db, keep)
-                rdb = remap_database(db, order)
+                rdb = remap(db, order)
                 assert len(rdb[0]) == len(rdb[1])
                 for items, utilities in zip(*rdb):
                     assert all(a < b for a, b in zip(items, items[1:]))
@@ -162,7 +163,7 @@ class TestRemap:
         }
         for keep, want in utilities.items():
             order = kept_order(db, keep)
-            rows = remap_database(db, order)
+            rows = remap(db, order)
             assert rows == reference_rows(db, order)
             assert rows[1] == want
 
@@ -187,7 +188,7 @@ class TestRemap:
         keep = data.draw(st.one_of(st.just(set()), st.just(set(range(n_items))),
                                    st.sets(st.integers(0, n_items - 1))), label="keep")
         order = kept_order(db, keep)
-        rows = remap_database(db, order)
+        rows = remap(db, order)
         assert rows == reference_rows(db, order)
         assert all(type(row) is tuple for column in rows for row in column)
 
@@ -198,17 +199,15 @@ class TestRemap:
         ((1000, 6, (1, 9), 0.6), False),
     ], ids=["signed-sparse", "positive-dense", "signed-sparse-keep-two-thirds", "thousand-items"])
     def test_memory_is_the_rows(self, shape, keep_two_thirds):
-        # the build leaves nothing behind but its rows, and never holds
-        # much more than one copy of them; a batch of short tuples that
-        # died together would stay traced on the interpreter's free lists,
-        # which a full collection empties first; the occurrence lists of
-        # the items a partial order drops must not last into the walk
+        # the summaries pass and the build, run as ``mine`` runs them, leave
+        # nothing behind but the rows, and never hold much more than one
+        # copy of them: the occurrence lists of the items a partial order
+        # drops go with the summaries before the walk, and the walk frees
+        # each ranked list as it reads it; a batch of short tuples that died
+        # together would stay traced on the interpreter's free lists, which
+        # a full collection empties first
         n_items, avg_len, utility_range, negative_fraction = shape
         db = generate_synthetic(2000, n_items, avg_len, utility_range, negative_fraction, 3)
-        summaries = compute_item_summaries(db)
-        if keep_two_thirds:
-            summaries = [s for s in summaries if s.item % 3 != 1]
-        order = build_total_order(summaries)
         started = not tracemalloc.is_tracing()
         gc.collect()
         if started:
@@ -216,11 +215,18 @@ class TestRemap:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         try:
-            rows = remap_database(db, order)
+            summaries = compute_item_summaries(db)
+            order = build_total_order([s for s in summaries
+                                       if not (keep_two_thirds and s.item % 3 == 1)])
+            ranked = [summaries[i].occurrences for i in order.items]
+            del summaries
+            rows = remap_database(ranked, len(db.transactions))
+            del order
             current, peak = tracemalloc.get_traced_memory()
         finally:
             if started:
                 tracemalloc.stop()
+        assert ranked == []
         size = sum(sys.getsizeof(column) + sum(map(sys.getsizeof, column)) for column in rows)
         # ranks above 256 are int objects the build makes, one per rank,
         # which every items tuple holding that rank shares
@@ -240,7 +246,7 @@ class TestRemap:
                 keep = {i for i in range(db.item_count) if not (dropping and i % 3 == 1)}
                 order = kept_order(db, keep)
                 cutoff = order.positive_cutoff
-                root = build_root(remap_database(db, order))
+                root = build_root(remap(db, order))
                 if merged:
                     root = merge_identical(root)
                 expected = [0] * cutoff
@@ -343,7 +349,7 @@ class TestDeliver:
     def test_children_equal_project(self, make_db, merging):
         db = make_db()
         order = build_total_order(compute_item_summaries(db))
-        plain = root = build_root(remap_database(db, order))
+        plain = root = build_root(remap(db, order))
         if merging:
             root = merge_identical(root)
         ranks = range(len(order.items))
@@ -435,7 +441,7 @@ class TestMerge:
         # so merging hands back the projection itself
         db = parse_spmf("1 2:3:1 2\n1 3:4:1 3\n2 3:5:2 3\n1 2 3:6:1 2 3\n4:4:4")
         order = build_total_order(compute_item_summaries(db))
-        root = build_root(remap_database(db, order))
+        root = build_root(remap(db, order))
         assert merge_identical(root) is root
         assert len(root.items) == len(db.transactions)
 
@@ -477,7 +483,7 @@ class TestMerge:
                         "1 2 3:6:1 2 3\n1 2 3:6:1 2 3\n2 4:6:2 4\n1 4:5:1 4\n1 4:5:1 4\n"
                         "3 4:7:3 4\n1 2 3 4:10:1 2 3 4\n1 2 3 4:10:1 2 3 4")
         order = build_total_order(compute_item_summaries(db))
-        root = build_root(remap_database(db, order))
+        root = build_root(remap(db, order))
         suffixes = root.items
         folds = [i for i in range(1, len(suffixes)) if suffixes[i] == suffixes[i - 1]]
         assert folds == [4, 8, 9, 11]
@@ -527,5 +533,5 @@ class TestLayout:
         # one instance dict per transaction, item summary or projection
         # would cost more than the fields it holds
         assert not hasattr(Transaction(0, [0, 1], [2, 3], 5), "__dict__")
-        assert not hasattr(ItemSummary(0, 5, 5, 5, True), "__dict__")
+        assert not hasattr(ItemSummary(0, 5, 5, 5, True, [0, 5]), "__dict__")
         assert not hasattr(ProjectedDatabase([], [], [], [], []), "__dict__")
