@@ -139,6 +139,16 @@ def _build_database(
     return UtilityDatabase(transactions, label_list, positive_ids, negative_ids)
 
 
+class _Labels(dict):
+    """Token -> int memo of one parse's labels; a miss stores and returns
+    ``int(token)``. Labels name items, which recur across transactions in
+    data worth mining, so most lookups hit."""
+
+    def __missing__(self, token: str) -> int:
+        value = self[token] = int(token)
+        return value
+
+
 def parse_spmf(text: str, strict: bool = True) -> UtilityDatabase:
     """Parse the SPMF utility format: ``i1 i2 ... im:TU:u1 u2 ... um``.
 
@@ -147,10 +157,13 @@ def parse_spmf(text: str, strict: bool = True) -> UtilityDatabase:
     a line. A declared TU that differs from the sum of the utilities is an
     error in strict mode and is otherwise recomputed with a warning. Only a
     newline ends a line (a carriage return before it is stripped), and errors
-    name that physical line. Each data line extends one label column and
-    one utility column; :func:`_build_database` builds from them, so sign
-    and zero errors are raised only once every line has parsed.
+    name that physical line. Each distinct label token is converted once
+    per call; utilities, which need not repeat, are converted one by one.
+    Each data line extends one label column and one utility column;
+    :func:`_build_database` builds from them, so sign and zero errors are
+    raised only once every line has parsed.
     """
+    label = _Labels().__getitem__
     rows: list[tuple[int, int, int]] = []
     label_col: list[int] = []
     util_col: list[int] = []
@@ -164,7 +177,7 @@ def parse_spmf(text: str, strict: bool = True) -> UtilityDatabase:
         if len(fields) != 3:
             raise MalformedLineError(f"line {lineno}: expected 3 ':'-fields, got {len(fields)}")
         try:
-            labels = list(map(int, fields[0].split()))
+            labels = list(map(label, fields[0].split()))
             declared_tu = int(fields[1])
             utils = list(map(int, fields[2].split()))
         except ValueError as exc:

@@ -21,19 +21,28 @@ from topicmine import (
 )
 
 
+def spelled(draw, n):
+    """``n`` as a token: plain or zero-padded, and ``+``-signed only when
+    ``n`` is not negative (``0`` may also read ``-0``)."""
+    sign = "-" if n < 0 else draw(st.sampled_from(["", "+", "-"] if n == 0 else ["", "+"]))
+    return sign + "0" * draw(st.sampled_from([0, 0, 1, 2])) + str(abs(n))
+
+
 @st.composite
 def spmf_texts(draw):
     """SPMF text with labels shuffled within lines, negative items, comment,
     meta, blank and CRLF lines, and up to two injected faults: a zero
     utility, a label given the other sign in some line (a mixed-sign label
-    unless that is its only occurrence) or a declared TU off by one."""
+    unless that is its only occurrence), a declared TU off by one or a label
+    repeated in its line. Each number token is spelled plain, ``+``-signed
+    or zero-padded, so one value can appear under several spellings."""
     universe = draw(st.lists(st.integers(-3, 20), min_size=1, max_size=8, unique=True))
     negative = draw(st.sets(st.sampled_from(universe)))
     rows = [(labels, [draw(st.integers(1, 9)) * (-1 if lab in negative else 1) for lab in labels])
             for labels in draw(st.lists(st.lists(st.sampled_from(universe), min_size=1, unique=True),
                                         max_size=8))]
     off_by_one = set()
-    for fault in draw(st.lists(st.sampled_from(["zero", "sign", "tu"]), max_size=2)):
+    for fault in draw(st.lists(st.sampled_from(["zero", "sign", "tu", "repeat"]), max_size=2)):
         if not rows:
             break
         i = draw(st.integers(0, len(rows) - 1))
@@ -43,6 +52,9 @@ def spmf_texts(draw):
             utils[j] = 0
         elif fault == "tu":
             off_by_one.add(i)
+        elif fault == "repeat":
+            labels.append(labels[j])
+            utils.append(utils[j])
         else:
             other_labels, other_utils = rows[draw(st.integers(0, len(rows) - 1))]
             u = -utils[j] or 1
@@ -55,7 +67,8 @@ def spmf_texts(draw):
     for i, (labels, utils) in enumerate(rows):
         lines += draw(st.lists(st.sampled_from(["", "  ", "# 1:0:0", "@meta"]), max_size=2))
         tu = sum(utils) + (i in off_by_one)
-        lines.append(" ".join(map(str, labels)) + f":{tu}:" + " ".join(map(str, utils)))
+        lines.append(" ".join(spelled(draw, n) for n in labels) + f":{spelled(draw, tu)}:"
+                     + " ".join(spelled(draw, n) for n in utils))
     return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
 
 
@@ -159,6 +172,7 @@ class TestParse:
             ("1 2:10:5", "3:1:1 1", MalformedLineError),
             (":0:", " : 0 : ", MalformedLineError),
             ("1 1:10:5 5", "2 2:2:1 1", MalformedLineError),
+            ("3 03:5:2 3", "+4 4:2:1 1", MalformedLineError),
             ("1_0:5:5", "2:1_0:10", MalformedLineError),
             ("\u0661:5:5", "2:5:\u0665", MalformedLineError),
             ("1 2:99:5 5", "3:9:8", TuMismatchError),
@@ -166,8 +180,8 @@ class TestParse:
             ("2 3:5:5 0", "4:0:0", ZeroUtilityError),
             ("1:5:5\x0b2:0:0", "3\x0c4:1:1", MalformedLineError),
         ],
-        ids=["fields", "token", "count", "empty", "duplicate", "underscore",
-             "non-ascii", "tu", "mixed-sign", "zero", "vertical-tab"],
+        ids=["fields", "token", "count", "empty", "duplicate", "spelled-duplicate",
+             "underscore", "non-ascii", "tu", "mixed-sign", "zero", "vertical-tab"],
     )
     def test_first_bad_physical_line_named(self, bad, later, error):
         text = f"# 1:-5:0\n@meta x\n\n1:5:5\n{bad}\n6:1:1\n{later}\n"
@@ -194,6 +208,9 @@ class TestParse:
         assert [(t.items, t.utilities, t.tu) for t in db.transactions] == [
             ([1, 2], [5, -3], 2), ([0], [-1], -1),
         ]
+
+    def test_spellings_of_one_value_are_one_value(self):
+        assert parse_spmf("+7 2:5:02 +3\n007:4:4") == parse_spmf("7 2:5:2 3\n7:4:4")
 
     def test_lenient_warns_once_per_mismatching_line(self, caplog):
         text = "1 2:99:5 5\n# c\n3:4:4\n1 3:0:5 4\n"

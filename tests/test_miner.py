@@ -119,6 +119,28 @@ class TestOracleEquivalence:
         assert all(s == sets[0] for s in sets)
 
 
+class TestTopKPrefix:
+    """The top-k order is total (utility, then the tie rule), so mining at a
+    smaller k gives a prefix of a larger k's result. A raise that is wrong
+    at one k cuts itemsets that another k keeps, even where every variant
+    shares the fault."""
+
+    @staticmethod
+    def check_prefixes(db, k, smaller):
+        top_k = mine(db, MinerConfig(k)).top_k
+        for k2 in smaller:
+            assert mine(db, MinerConfig(k2)).top_k == top_k[:k2], k2
+
+    @pytest.mark.parametrize("nf", [0.0, 0.3, 0.6])
+    def test_campaign(self, nf):
+        for seed in range(12):
+            self.check_prefixes(campaign_db(seed, nf), 40, (1, 3, 5, 10, 20))
+
+    def test_sparse_neg_shape(self):
+        db = generate_synthetic(8000, 200, 4, (1, 9), 0.3, 12)
+        self.check_prefixes(db, 1000, (10, 100, 500))
+
+
 def spmf_line(labels, utils):
     return f"{' '.join(map(str, labels))}:{sum(utils)}:{' '.join(map(str, utils))}"
 
